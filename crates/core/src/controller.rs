@@ -8,18 +8,18 @@
 use aero_nand::chip::{Chip, EraseReport};
 use aero_nand::geometry::BlockAddr;
 use aero_nand::NandError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scheme::{BlockContext, BlockId, EraseAction, EraseScheme};
 use crate::stats::EraseStats;
 
 /// Result of one controlled erase operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EraseExecution {
     /// The chip-level erase report (loops, latency, stress, residual).
     pub report: EraseReport,
-    /// Name of the scheme that produced it.
-    pub scheme: String,
+    /// Name of the scheme that produced it ([`EraseScheme::name`]).
+    pub scheme: &'static str,
     /// True if the scheme deliberately accepted an incomplete erasure.
     pub accepted_partial: bool,
 }
@@ -118,13 +118,13 @@ impl<S: EraseScheme> EraseController<S> {
                 EraseAction::Finish { accept_partial } => break accept_partial,
             }
         };
-        let complete = history.last().map(|o| o.passed).unwrap_or(false);
-        let report = chip.finish_erase(block, history.clone())?;
-        self.scheme.finish(&ctx, &history, complete);
+        let report = chip.finish_erase(block, history)?;
+        self.scheme
+            .finish(&ctx, &report.loops, report.completely_erased());
         self.stats.record(&report, accepted_partial);
         Ok(EraseExecution {
             report,
-            scheme: self.scheme.name().to_string(),
+            scheme: self.scheme.name(),
             accepted_partial,
         })
     }

@@ -21,7 +21,7 @@ use crate::chip_family::ChipFamily;
 use crate::erase::characteristics::{
     ispe_decomposition, BlockEraseState, EraseCharacteristics, MinimumEraseLatency,
 };
-use crate::erase::ispe::{EraseLoopOutcome, IspeEngine};
+use crate::erase::ispe::{EraseLoopOutcome, IspeEngine, StressMemo};
 use crate::geometry::{BlockAddr, ChipGeometry, PageAddr};
 use crate::reliability::rber::{RberModel, RberSample};
 use crate::reliability::retention::RetentionSpec;
@@ -149,6 +149,8 @@ pub struct Chip {
     /// so any future iteration is in address order by construction (the
     /// workspace determinism contract, aero-lint rule D1).
     active_erases: BTreeMap<BlockAddr, IspeEngine>,
+    /// Stress factor per erase loop, shared by every erase on the chip.
+    stress_memo: StressMemo,
     /// Program-latency scale applied to subsequent programs (DPES raises it).
     program_latency_scale: f64,
     /// Erase-voltage scale applied to subsequently started erases.
@@ -172,12 +174,14 @@ impl Chip {
             })
             .collect();
         let rber = RberModel::new(&config.family);
+        let stress_memo = StressMemo::new(&config.family);
         Chip {
             config,
             blocks,
             rber,
             rng,
             active_erases: BTreeMap::new(),
+            stress_memo,
             program_latency_scale: 1.0,
             erase_voltage_scale: 1.0,
         }
@@ -357,19 +361,17 @@ impl Chip {
     ///
     /// Fails if the address is out of range.
     pub fn begin_erase(&mut self, block: BlockAddr) -> Result<(), NandError> {
-        self.geometry().validate_block(block)?;
-        let family = self.config.family.clone();
-        let voltage_scale = self.erase_voltage_scale;
-        let idx = self.geometry().block_index(block);
-        let required = {
-            let state = &self.blocks[idx];
-            state
-                .characteristics
-                .sample_required_dose(&family, &state.wear, &mut self.rng)
-        };
-        let mut engine = IspeEngine::new(&family, required);
-        if voltage_scale < 1.0 {
-            engine.set_voltage_scale(voltage_scale);
+        let family = &self.config.family;
+        family.geometry.validate_block(block)?;
+        let BlockState {
+            characteristics,
+            wear,
+            ..
+        } = &self.blocks[family.geometry.block_index(block)];
+        let required = characteristics.sample_required_dose(family, wear, &mut self.rng);
+        let mut engine = IspeEngine::new(family, required);
+        if self.erase_voltage_scale < 1.0 {
+            engine.set_voltage_scale(self.erase_voltage_scale);
         }
         self.active_erases.insert(block, engine);
         Ok(())
@@ -378,9 +380,7 @@ impl Chip {
     fn active_erase_mut(&mut self, block: BlockAddr) -> Result<&mut IspeEngine, NandError> {
         self.active_erases
             .get_mut(&block)
-            .ok_or(NandError::InvalidSuspendState {
-                reason: format!("no erase in flight for block {block}"),
-            })
+            .ok_or_else(|| no_erase_in_flight(block))
     }
 
     /// Sets the erase-pulse latency of the next erase loop of an in-flight
@@ -416,14 +416,13 @@ impl Chip {
     ///
     /// Fails if no erase is in flight for the block.
     pub fn run_erase_loop(&mut self, block: BlockAddr) -> Result<EraseLoopOutcome, NandError> {
-        let family = self.config.family.clone();
-        let mut rng = self.rng.clone();
-        let outcome = {
-            let engine = self.active_erase_mut(block)?;
-            engine.run_loop(&family, &mut rng)
-        };
-        self.rng = rng;
-        Ok(outcome)
+        // Not `active_erase_mut`: the family, memo and RNG are borrowed
+        // alongside the engine.
+        let engine = self
+            .active_erases
+            .get_mut(&block)
+            .ok_or_else(|| no_erase_in_flight(block))?;
+        Ok(engine.run_loop_memoized(&self.config.family, &mut self.stress_memo, &mut self.rng))
     }
 
     /// Finalizes an in-flight erase: records wear, updates the block's erase
@@ -445,9 +444,7 @@ impl Chip {
         let engine = self
             .active_erases
             .remove(&block)
-            .ok_or(NandError::InvalidSuspendState {
-                reason: format!("no erase in flight for block {block}"),
-            })?;
+            .ok_or_else(|| no_erase_in_flight(block))?;
         let residual = engine.residual_units();
         let stress = engine.delivered_stress();
         let total_latency = engine.elapsed();
@@ -484,7 +481,7 @@ impl Chip {
     /// loop count (`EraseFailure`).
     pub fn erase_block_default(&mut self, block: BlockAddr) -> Result<EraseReport, NandError> {
         self.begin_erase(block)?;
-        let family = self.config.family.clone();
+        let max_loops = self.config.family.erase.max_loops;
         let mut loops = Vec::new();
         loop {
             let outcome = self.run_erase_loop(block)?;
@@ -493,11 +490,7 @@ impl Chip {
             if done {
                 break;
             }
-            let exhausted = {
-                let engine = self.active_erase_mut(block)?;
-                engine.next_loop_index() > family.erase.max_loops
-            };
-            if exhausted {
+            if self.active_erase_mut(block)?.next_loop_index() > max_loops {
                 let attempted = loops.len() as u32;
                 // Finalize bookkeeping, then report the failure.
                 let _ = self.finish_erase(block, loops)?;
@@ -697,6 +690,14 @@ impl Chip {
     }
 }
 
+/// The error every erase-control call returns for a block with no erase in
+/// flight. Built only on that path: the calls sit on the per-loop hot path.
+fn no_erase_in_flight(block: BlockAddr) -> NandError {
+    NandError::InvalidSuspendState {
+        reason: format!("no erase in flight for block {block}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -847,10 +848,71 @@ mod tests {
     #[test]
     fn set_feature_without_active_erase_fails() {
         let mut c = chip();
-        assert!(matches!(
-            c.set_erase_pulse(BlockAddr::new(0, 0), Micros::from_millis_f64(1.0)),
-            Err(NandError::InvalidSuspendState { .. })
-        ));
+        // An erase in flight on another block does not count.
+        let busy = BlockAddr::new(1, 3);
+        let idle = BlockAddr::new(0, 3);
+        c.begin_erase(busy).unwrap();
+        let rng = c.export_rng();
+        let failures = [
+            c.set_erase_pulse(idle, Micros::from_millis_f64(1.0)),
+            c.force_erase_loop_index(idle, 2),
+            c.run_erase_loop(idle).map(|_| ()),
+            c.finish_erase(idle, Vec::new()).map(|_| ()),
+        ];
+        for failure in failures {
+            match failure {
+                Err(NandError::InvalidSuspendState { reason }) => {
+                    assert!(reason.contains(&format!("block {idle}")), "{reason}");
+                }
+                other => panic!("expected InvalidSuspendState, got {other:?}"),
+            }
+        }
+        assert_eq!(c.export_rng(), rng, "a failed call must not draw noise");
+        assert!(c.erase_in_flight(busy) && !c.erase_in_flight(idle));
+        let o = c.run_erase_loop(busy).unwrap();
+        c.finish_erase(busy, vec![o]).unwrap();
+    }
+
+    #[test]
+    fn memoized_stress_follows_voltage_scale_changes() {
+        let mut c = chip();
+        let family = c.family().clone();
+        let top = family.erase.max_loops;
+        // The engine's accumulation order, through the unmemoized formula.
+        let stress_of = |loops: &[EraseLoopOutcome], scale: f64| {
+            loops.iter().fold(0.0, |sum, o| {
+                sum + family.stress_for_pulse(o.loop_index, o.pulse, scale)
+            })
+        };
+        let blocks: Vec<BlockAddr> = c.geometry().iter_blocks().take(6).collect();
+        for &b in &blocks {
+            c.precondition_block(b, 3_000).unwrap();
+        }
+        // Each scale change must recompute the memoized factors the last
+        // scale left behind, at every loop the erases reach.
+        for (&b, scale) in blocks.iter().zip([0.9, 1.0, 0.9, 1.0, 0.9, 0.9]) {
+            c.set_erase_voltage_scale(scale);
+            let report = c.erase_block_default(b).unwrap();
+            assert!(
+                report.n_loops() >= 2,
+                "the pre-aged block needs several loops"
+            );
+            let expected = stress_of(&report.loops, scale);
+            assert_eq!(report.stress.to_bits(), expected.to_bits(), "scale {scale}");
+        }
+        // Loops past the top of the voltage ladder share its memo slot.
+        let b = blocks[0];
+        c.set_erase_voltage_scale(1.0);
+        c.begin_erase(b).unwrap();
+        let mut loops = Vec::new();
+        for index in [top, top + 3, 1] {
+            c.force_erase_loop_index(b, index).unwrap();
+            c.set_erase_pulse(b, Micros::from_millis_f64(1.0)).unwrap();
+            loops.push(c.run_erase_loop(b).unwrap());
+        }
+        let expected = stress_of(&loops, 1.0);
+        let report = c.finish_erase(b, loops).unwrap();
+        assert_eq!(report.stress.to_bits(), expected.to_bits());
     }
 
     #[test]

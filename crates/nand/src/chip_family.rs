@@ -261,18 +261,23 @@ impl ChipFamily {
     /// Loop 1 at 0.5 ms delivers exactly 1.0 unit; higher loops deliver more
     /// because the erase voltage is stepped up by `ΔV_ISPE`.
     pub fn dose_for_pulse(&self, loop_index: u32, pulse: Micros) -> f64 {
-        let half_ms_units = pulse.as_micros_f64() / 500.0;
-        self.voltage_factor(loop_index) * half_ms_units
+        self.voltage_factor(loop_index) * half_ms_units(pulse)
     }
 
     /// Cell *stress* (damage) inflicted by a pulse of the given latency at
     /// loop `loop_index`, with an optional erase-voltage scale (< 1.0 for
     /// schemes like DPES that lower the erase voltage).
     pub fn stress_for_pulse(&self, loop_index: u32, pulse: Micros, voltage_scale: f64) -> f64 {
+        self.stress_factor(loop_index, voltage_scale) * half_ms_units(pulse)
+    }
+
+    /// Stress per 0.5 ms of pulse at loop `loop_index` under an erase-voltage
+    /// scale: `(v(i) · voltage_scale)^stress_voltage_exponent`. It depends
+    /// on the loop index only up to `max_loops`, where the voltage ladder
+    /// saturates, so a chip can memoize it per loop.
+    pub fn stress_factor(&self, loop_index: u32, voltage_scale: f64) -> f64 {
         assert!(voltage_scale.is_finite() && voltage_scale > 0.0);
-        let half_ms_units = pulse.as_micros_f64() / 500.0;
         (self.voltage_factor(loop_index) * voltage_scale).powf(self.erase.stress_voltage_exponent)
-            * half_ms_units
     }
 
     /// Number of 0.5 ms pulse steps available within the default `tEP`.
@@ -280,6 +285,11 @@ impl ChipFamily {
         let step = self.timings.erase_pulse_step.as_micros_f64();
         (self.timings.erase_pulse.as_micros_f64() / step).round() as u32
     }
+}
+
+/// A pulse's length in the dose and stress unit: 0.5 ms.
+pub(crate) fn half_ms_units(pulse: Micros) -> f64 {
+    pulse.as_micros_f64() / 500.0
 }
 
 #[cfg(test)]

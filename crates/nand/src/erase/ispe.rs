@@ -10,7 +10,7 @@
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::chip_family::ChipFamily;
+use crate::chip_family::{half_ms_units, ChipFamily};
 use crate::erase::failbits::FailBitModel;
 use crate::timing::Micros;
 
@@ -231,10 +231,33 @@ impl IspeEngine {
     /// loops deliver over-erase stress but always pass); callers normally stop
     /// at the first passing outcome.
     pub fn run_loop(&mut self, family: &ChipFamily, rng: &mut ChaCha12Rng) -> EraseLoopOutcome {
+        let stress_factor = family.stress_factor(self.next_loop, self.voltage_scale);
+        self.apply_loop(family, stress_factor, rng)
+    }
+
+    /// [`IspeEngine::run_loop`], with the loop's stress factor taken from a
+    /// chip's memo instead of recomputed.
+    pub(crate) fn run_loop_memoized(
+        &mut self,
+        family: &ChipFamily,
+        memo: &mut StressMemo,
+        rng: &mut ChaCha12Rng,
+    ) -> EraseLoopOutcome {
+        let stress_factor = memo.factor(family, self.next_loop, self.voltage_scale);
+        self.apply_loop(family, stress_factor, rng)
+    }
+
+    /// Runs the next loop given its [`ChipFamily::stress_factor`].
+    fn apply_loop(
+        &mut self,
+        family: &ChipFamily,
+        stress_factor: f64,
+        rng: &mut ChaCha12Rng,
+    ) -> EraseLoopOutcome {
         let loop_index = self.next_loop;
         let pulse = self.next_pulse;
         let dose = family.dose_for_pulse(loop_index, pulse) * self.voltage_scale;
-        let stress = family.stress_for_pulse(loop_index, pulse, self.voltage_scale);
+        let stress = stress_factor * half_ms_units(pulse);
         self.delivered_dose += dose;
         self.delivered_stress += stress;
         self.remaining_dose -= dose;
@@ -293,6 +316,45 @@ impl IspeEngine {
     /// when AERO deliberately stops after an "insufficient" erasure.
     pub fn residual_units(&self) -> f64 {
         self.remaining_dose.max(0.0) / self.last_voltage_factor
+    }
+}
+
+/// A chip's memo of [`ChipFamily::stress_factor`], one slot per step of the
+/// ISPE voltage ladder. Each slot is keyed by the exact bits of the
+/// erase-voltage scale it was computed under and is recomputed when asked
+/// for another scale, so a scheme that changes the scale between erases
+/// (DPES) still gets the bit-identical factor.
+#[derive(Debug, Clone)]
+pub(crate) struct StressMemo {
+    /// `(voltage-scale bits, factor)` of loops `1..=max_loops`; later loops
+    /// share the last slot, as they share its voltage.
+    slots: Vec<(u64, f64)>,
+}
+
+impl StressMemo {
+    /// A memo for a family's ladder. Every slot starts keyed by the scale
+    /// 0.0, which no erase can use, so each is computed on first use.
+    pub(crate) fn new(family: &ChipFamily) -> Self {
+        StressMemo {
+            slots: vec![(0f64.to_bits(), 0.0); family.erase.max_loops.max(1) as usize],
+        }
+    }
+
+    /// [`ChipFamily::stress_factor`], recomputed only when the slot of
+    /// `loop_index` holds another scale.
+    pub(crate) fn factor(
+        &mut self,
+        family: &ChipFamily,
+        loop_index: u32,
+        voltage_scale: f64,
+    ) -> f64 {
+        let slot = loop_index.min(family.erase.max_loops).saturating_sub(1) as usize;
+        let (key, factor) = &mut self.slots[slot];
+        if *key != voltage_scale.to_bits() {
+            *factor = family.stress_factor(loop_index, voltage_scale);
+            *key = voltage_scale.to_bits();
+        }
+        *factor
     }
 }
 

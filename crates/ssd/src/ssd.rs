@@ -618,8 +618,9 @@ impl Ssd {
         // A grown-bad block fails its status check outright, without
         // consuming an erase-failure draw from the fault RNG.
         let mut failed = die.grown_bad.remove(&block);
-        // Reuse the buffer reclaimed from this die's previous erase job, so
-        // steady-state erases allocate nothing.
+        // Reuse the latency buffer reclaimed from this die's previous erase
+        // job. The controller still allocates each erase's loop history
+        // (`EraseReport::loops`), which is dropped once copied out here.
         let mut latencies = std::mem::take(&mut die.loop_scratch);
         latencies.clear();
         match self.controller.erase(&mut die.chip, addr, block_id) {
