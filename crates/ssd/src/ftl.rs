@@ -366,29 +366,86 @@ impl DieFtl {
     }
 }
 
+/// Width of the die field of a packed L2P entry.
+const DIE_BITS: u32 = 6;
+/// Width of the block field of a packed L2P entry.
+const BLOCK_BITS: u32 = 12;
+/// Width of the page field of a packed L2P entry.
+const PAGE_BITS: u32 = 13;
+const BLOCK_SHIFT: u32 = PAGE_BITS;
+const DIE_SHIFT: u32 = PAGE_BITS + BLOCK_BITS;
+/// Table entry of an unmapped logical page. The three fields span 31 bits,
+/// so no packed address ever has the top bit set.
+const UNMAPPED: u32 = u32::MAX;
+
+/// True if every field of `ppa` fits its bit field of a packed entry.
+#[inline]
+fn packable(ppa: Ppa) -> bool {
+    (ppa.die >> DIE_BITS) | (ppa.block >> BLOCK_BITS) | (ppa.page >> PAGE_BITS) == 0
+}
+
+/// Packs an address that [`packable`] accepted into its table entry.
+#[inline]
+fn pack(ppa: Ppa) -> u32 {
+    ppa.die << DIE_SHIFT | ppa.block << BLOCK_SHIFT | ppa.page
+}
+
+/// Decodes a table entry back into an address (`None` if unmapped).
+#[inline]
+fn unpack(entry: u32) -> Option<Ppa> {
+    (entry != UNMAPPED).then_some(Ppa {
+        die: entry >> DIE_SHIFT,
+        block: entry >> BLOCK_SHIFT & ((1 << BLOCK_BITS) - 1),
+        page: entry & ((1 << PAGE_BITS) - 1),
+    })
+}
+
+/// The first field of `ppa` too wide for a packed entry, for messages.
+fn unpackable_field(ppa: Ppa) -> &'static str {
+    if ppa.die >> DIE_BITS != 0 {
+        "die"
+    } else if ppa.block >> BLOCK_BITS != 0 {
+        "block"
+    } else {
+        "page"
+    }
+}
+
 /// Drive-wide logical-to-physical page mapping.
 ///
 /// Logical pages inside the drive's advertised space live in a flat table
-/// (O(1) hot path). Logical pages **beyond** it — host bugs, synthetic
-/// traces whose footprint exceeds the drive — are tracked in a sorted
-/// overlay map, so an out-of-range overwrite finds and invalidates its
-/// previous copy exactly like an in-range one. (An earlier design dropped
-/// out-of-range updates on the floor, which made every orphan physical
-/// copy immortal: they accumulated across overwrites, garbage collection
-/// could never reclaim their blocks, and a full drive silently lost GC
-/// migrations — a bug the state auditor surfaced.)
+/// (O(1) hot path) of 4-byte entries: each [`Ppa`] is packed into fixed
+/// die/block/page bit fields, which caps a drive at
+/// [`PageMapping::MAX_DIES`] dies of [`PageMapping::MAX_BLOCKS_PER_DIE`]
+/// blocks of [`PageMapping::MAX_PAGES_PER_BLOCK`] pages ([`crate::Ssd::new`]
+/// rejects a larger geometry). Logical pages **beyond** the table — host
+/// bugs, synthetic traces whose footprint exceeds the drive — are tracked
+/// in a sorted overlay map, so an out-of-range overwrite finds and
+/// invalidates its previous copy exactly like an in-range one. (An earlier
+/// design dropped out-of-range updates on the floor, which made every
+/// orphan physical copy immortal: they accumulated across overwrites,
+/// garbage collection could never reclaim their blocks, and a full drive
+/// silently lost GC migrations — a bug the state auditor surfaced.)
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PageMapping {
-    table: Vec<Option<Ppa>>,
+    /// Packed in-range entries (`UNMAPPED` = no mapping).
+    table: Vec<u32>,
     /// Mappings for logical pages at or beyond `table.len()`.
     orphans: BTreeMap<u64, Ppa>,
 }
 
 impl PageMapping {
+    /// Most dies a table entry can address (die indices run below it).
+    pub const MAX_DIES: u32 = 1 << DIE_BITS;
+    /// Most blocks per die a table entry can address.
+    pub const MAX_BLOCKS_PER_DIE: u32 = 1 << BLOCK_BITS;
+    /// Most pages per block a table entry can address.
+    pub const MAX_PAGES_PER_BLOCK: u32 = 1 << PAGE_BITS;
+
     /// Creates an unmapped table for `logical_pages` logical pages.
     pub fn new(logical_pages: u64) -> Self {
         PageMapping {
-            table: vec![None; logical_pages as usize],
+            table: vec![UNMAPPED; logical_pages as usize],
             orphans: BTreeMap::new(),
         }
     }
@@ -407,9 +464,10 @@ impl PageMapping {
     /// Current physical location of a logical page, if mapped — in-range
     /// pages from the flat table, out-of-range pages from the orphan
     /// overlay.
+    #[inline]
     pub fn lookup(&self, lpn: u64) -> Option<Ppa> {
         match self.table.get(lpn as usize) {
-            Some(entry) => *entry,
+            Some(&entry) => unpack(entry),
             None => self.orphans.get(&lpn).copied(),
         }
     }
@@ -417,9 +475,22 @@ impl PageMapping {
     /// Installs a new mapping, returning the previous location (which the
     /// caller must invalidate). Works for out-of-range logical pages too,
     /// via the orphan overlay.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if an in-range page is mapped to a `ppa`
+    /// with an index at or beyond its `MAX_*` count.
+    #[inline]
     pub fn update(&mut self, lpn: u64, ppa: Ppa) -> Option<Ppa> {
         match self.table.get_mut(lpn as usize) {
-            Some(entry) => entry.replace(ppa),
+            Some(entry) => {
+                assert!(
+                    packable(ppa),
+                    "{ppa:?} does not fit a packed L2P entry: {} out of range",
+                    unpackable_field(ppa)
+                );
+                unpack(std::mem::replace(entry, pack(ppa)))
+            }
             None => self.orphans.insert(lpn, ppa),
         }
     }
@@ -436,11 +507,19 @@ impl PageMapping {
 
     /// Rebuilds a mapping from its serialized parts. Returns `None` if any
     /// orphan key falls inside the flat table's range (it would shadow the
-    /// table entry and corrupt lookups).
+    /// table entry and corrupt lookups), or if a table entry has an index
+    /// at or beyond its `MAX_*` count.
     pub fn from_parts(table: Vec<Option<Ppa>>, orphans: BTreeMap<u64, Ppa>) -> Option<Self> {
         if orphans.keys().any(|&lpn| (lpn as usize) < table.len()) {
             return None;
         }
+        let table = table
+            .into_iter()
+            .map(|entry| match entry {
+                None => Some(UNMAPPED),
+                Some(ppa) => packable(ppa).then(|| pack(ppa)),
+            })
+            .collect::<Option<Vec<u32>>>()?;
         Some(PageMapping { table, orphans })
     }
 
@@ -450,7 +529,7 @@ impl PageMapping {
         if self.table.is_empty() {
             return 0.0;
         }
-        self.table.iter().filter(|e| e.is_some()).count() as f64 / self.table.len() as f64
+        self.table.iter().filter(|&&e| e != UNMAPPED).count() as f64 / self.table.len() as f64
     }
 }
 
@@ -637,6 +716,71 @@ mod tests {
         // An orphan key inside the table range is rejected.
         let shadowing: BTreeMap<u64, Ppa> = [(5u64, ppa)].into_iter().collect();
         assert!(PageMapping::from_parts(table, shadowing).is_none());
+    }
+
+    fn ppa(die: u32, block: u32, page: u32) -> Ppa {
+        Ppa { die, block, page }
+    }
+
+    /// Packed table entries round-trip the paper drive's largest address
+    /// and every corner of the bit layout.
+    #[test]
+    fn packed_entries_round_trip_the_layout_corners() {
+        let config = crate::config::SsdConfig::paper_default(aero_core::SchemeKind::Baseline);
+        let geometry = config.family.geometry;
+        let largest = ppa(
+            config.dies() as u32 - 1,
+            geometry.total_blocks() as u32 - 1,
+            geometry.pages_per_block - 1,
+        );
+        assert_eq!(largest, ppa(15, 1_987, 2_111));
+        let (die, block, page) = (
+            PageMapping::MAX_DIES - 1,
+            PageMapping::MAX_BLOCKS_PER_DIE - 1,
+            PageMapping::MAX_PAGES_PER_BLOCK - 1,
+        );
+        let corners = [
+            largest,
+            ppa(0, 0, 0),
+            ppa(die, 0, 0),
+            ppa(0, block, 0),
+            ppa(0, 0, page),
+            ppa(die, block, page),
+        ];
+        let mut map = PageMapping::new(corners.len() as u64);
+        for (lpn, &corner) in corners.iter().enumerate() {
+            assert_eq!(map.update(lpn as u64, corner), None);
+            assert_eq!(map.lookup(lpn as u64), Some(corner));
+        }
+        // Overwrites hand back the exact previous address.
+        for (lpn, &corner) in corners.iter().enumerate() {
+            assert_eq!(map.update(lpn as u64, largest), Some(corner));
+        }
+    }
+
+    /// An address a packed entry cannot hold is refused loudly by `update`
+    /// (naming the field) and as corrupt by `from_parts`; the orphan
+    /// overlay keeps full-width addresses.
+    #[test]
+    fn unpackable_addresses_are_refused() {
+        let too_wide = [
+            ("die", ppa(PageMapping::MAX_DIES, 2, 3)),
+            ("block", ppa(1, PageMapping::MAX_BLOCKS_PER_DIE, 3)),
+            ("page", ppa(1, 2, PageMapping::MAX_PAGES_PER_BLOCK)),
+        ];
+        for (field, wide) in too_wide {
+            let panic = std::panic::catch_unwind(|| PageMapping::new(4).update(1, wide))
+                .expect_err("an unpackable address must panic");
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(
+                message.contains(&format!("{field} out of range")),
+                "{message}"
+            );
+            assert!(PageMapping::from_parts(vec![None, Some(wide)], BTreeMap::new()).is_none());
+            let mut map = PageMapping::new(4);
+            assert_eq!(map.update(4, wide), None);
+            assert_eq!(map.lookup(4), Some(wide));
+        }
     }
 
     /// A fully valid block is never a GC victim: collecting it reclaims

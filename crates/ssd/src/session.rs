@@ -209,15 +209,16 @@ const NONE_NS: u64 = u64::MAX;
 /// impossible.
 ///
 /// `next_wake` doubles as the session's **wake-up calendar**: it is the
-/// authoritative pending wake-up per die (`NONE_NS` = idle), indexed by an
-/// armed-die bitmap with a cached global minimum. This replaces the former
-/// binary heap of `(time, die)` events:
+/// authoritative pending wake-up per die (`NONE_NS` = idle), with a cached
+/// global minimum. This replaces the former binary heap of `(time, die)`
+/// events:
 ///
-/// * scheduling is a compare-and-store plus a bitmap OR — no allocation,
-///   no sift-up;
-/// * popping takes the cached minimum and rescans only the armed dies
-///   (`O(pending)` with a popcount-loop constant, ties broken toward the
-///   lowest die index exactly as the heap broke them);
+/// * scheduling is a compare-and-store plus a compare against the cached
+///   minimum — no allocation, no sift-up;
+/// * popping clears the die's slot and recomputes the minimum with one
+///   branch-free argmin pass over `next_wake` (idle dies hold `NONE_NS`,
+///   so they never win; ascending die order with a strict comparison
+///   breaks ties toward the lowest die index exactly as the heap did);
 /// * the stale entries the heap accumulated (a die whose wake-up moved
 ///   earlier left its old entry behind, to be dispatched as a no-op) can
 ///   no longer exist, so every popped event is live work.
@@ -236,10 +237,8 @@ struct DieSched {
     program_scale: Vec<f64>,
     /// Precomputed die → channel index map.
     channel: Vec<u32>,
-    /// Bitmap of dies with a pending wake-up, one bit per die.
-    armed: Vec<u64>,
     /// Cached earliest pending wake-up as `(time, die)`, or
-    /// `(NONE_NS, u32::MAX)` when no die is armed.
+    /// `(NONE_NS, u32::MAX)` when every die is idle.
     wake_min: (u64, u32),
 }
 
@@ -252,7 +251,6 @@ impl DieSched {
             write_deferred_at: vec![NONE_NS; dies],
             program_scale: ssd.dies.iter().map(|d| d.program_scale).collect(),
             channel: (0..dies).map(|d| ssd.channel_of(d) as u32).collect(),
-            armed: vec![0; dies.div_ceil(64)],
             wake_min: (NONE_NS, u32::MAX),
         }
     }
@@ -265,7 +263,6 @@ impl DieSched {
     fn schedule(&mut self, die: usize, at: u64) {
         if at < self.next_wake[die] {
             self.next_wake[die] = at;
-            self.armed[die >> 6] |= 1 << (die & 63);
             if (at, die as u32) < self.wake_min {
                 self.wake_min = (at, die as u32);
             }
@@ -280,26 +277,20 @@ impl DieSched {
     }
 
     /// Consumes the earliest pending wake-up (callers peeked first) and
-    /// re-derives the next minimum from the armed dies.
+    /// re-derives the next minimum with one argmin pass over every die.
     #[inline]
     fn pop(&mut self) {
-        let die = self.wake_min.1 as usize;
-        self.next_wake[die] = NONE_NS;
-        self.armed[die >> 6] &= !(1 << (die & 63));
-        let mut best = (NONE_NS, u32::MAX);
-        for (word_idx, &word) in self.armed.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let die = (word_idx << 6) + word.trailing_zeros() as usize;
-                word &= word - 1;
-                // Ascending die order with a strict comparison reproduces
-                // the heap's `(time, die)` tie-break exactly.
-                if (self.next_wake[die], die as u32) < best {
-                    best = (self.next_wake[die], die as u32);
-                }
-            }
+        self.next_wake[self.wake_min.1 as usize] = NONE_NS;
+        let (mut best_at, mut best_die) = (NONE_NS, u32::MAX);
+        for (die, &at) in self.next_wake.iter().enumerate() {
+            // Ascending die order with a strict comparison reproduces the
+            // heap's `(time, die)` tie-break exactly. Selects, not a
+            // branch: which die is earlier is data-dependent.
+            let earlier = at < best_at;
+            best_at = if earlier { at } else { best_at };
+            best_die = if earlier { die as u32 } else { best_die };
         }
-        self.wake_min = best;
+        self.wake_min = (best_at, best_die);
     }
 }
 
@@ -633,8 +624,8 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
 
         // Scheduler clocks: a die with pending work must have a wake-up
         // scheduled, no wake-up may lie in the simulated past (wake-ups are
-        // consumed in time order), and the calendar's cached minimum and
-        // armed bitmap must agree with the authoritative `next_wake` array.
+        // consumed in time order), and the calendar's cached minimum must
+        // agree with the authoritative `next_wake` array.
         let mut expect_min = (NONE_NS, u32::MAX);
         for (die_idx, die) in self.ssd.dies.iter().enumerate() {
             let wake = self.sched.next_wake[die_idx];
@@ -655,14 +646,6 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                     ),
                 );
             }
-            let armed = self.sched.armed[die_idx >> 6] & (1 << (die_idx & 63)) != 0;
-            if armed != (wake != NONE_NS) {
-                record(
-                    out,
-                    Invariant::SchedulerClock,
-                    format!("die {die_idx}: armed bit is {armed} but next_wake is {wake}"),
-                );
-            }
             if wake != NONE_NS && (wake, die_idx as u32) < expect_min {
                 expect_min = (wake, die_idx as u32);
             }
@@ -672,7 +655,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                 out,
                 Invariant::SchedulerClock,
                 format!(
-                    "calendar cached minimum {:?} but the earliest armed wake-up is {:?}",
+                    "calendar cached minimum {:?} but the earliest pending wake-up is {:?}",
                     self.sched.wake_min, expect_min
                 ),
             );
@@ -2115,6 +2098,79 @@ mod tests {
             "every user page program is observed"
         );
         assert!(watch.invalidations > 0, "overwrites must invalidate");
+    }
+
+    /// One splitmix64 step: the calendar model test's seeded randomness.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The wake-up calendar agrees with an ordered-set model of pending
+    /// `(time, die)` wake-ups on seeded random schedule/pop sequences:
+    /// equal times, earlier and later re-schedules of a pending die, and
+    /// full drains to all-idle. It runs at the paper drive's 16 dies and at
+    /// 70, more dies than one 64-bit word has bits.
+    #[test]
+    fn calendar_matches_an_ordered_set_model() {
+        for dies in [16usize, 70] {
+            for seed in 0..8u64 {
+                let mut sched = DieSched {
+                    busy_until: Vec::new(),
+                    next_wake: vec![NONE_NS; dies],
+                    write_deferred_at: Vec::new(),
+                    program_scale: Vec::new(),
+                    channel: Vec::new(),
+                    wake_min: (NONE_NS, u32::MAX),
+                };
+                let mut model = std::collections::BTreeSet::new();
+                let mut pending = vec![NONE_NS; dies];
+                let (mut earlier, mut later, mut drains) = (0, 0, 0);
+                let mut rng = seed << 8 | dies as u64;
+                let mut now = 0u64;
+                for step in 0..3_000 {
+                    let r = splitmix(&mut rng);
+                    let drain = step % 500 == 499;
+                    if drain || (r % 5 < 2 && !model.is_empty()) {
+                        // Pop one wake-up, or every one on a drain step.
+                        while let Some((at, die)) = model.pop_first() {
+                            assert_eq!(sched.peek(), Some((at, die)), "dies {dies} seed {seed}");
+                            sched.pop();
+                            pending[die] = NONE_NS;
+                            now = at;
+                            if !drain {
+                                break;
+                            }
+                        }
+                        drains += drain as u32;
+                    } else {
+                        // A small time window makes equal times common.
+                        let die = (r >> 8) as usize % dies;
+                        let at = now + (r >> 40) % 4;
+                        match pending[die] {
+                            NONE_NS => {}
+                            old if at < old => earlier += 1,
+                            _ => later += 1,
+                        }
+                        sched.schedule(die, at);
+                        if at < pending[die] {
+                            model.remove(&(pending[die], die));
+                            model.insert((at, die));
+                            pending[die] = at;
+                        }
+                    }
+                    assert_eq!(
+                        sched.peek(),
+                        model.first().copied(),
+                        "dies {dies} seed {seed} step {step}"
+                    );
+                }
+                assert!(earlier > 0 && later > 0 && drains > 0);
+            }
+        }
     }
 
     /// `run_until` advances the clock even past the last event, and

@@ -34,10 +34,11 @@
 //! fully-independent-die model.
 //!
 //! Hot-path notes: the session consumes arrivals straight from the pull
-//! source (the event heap holds die wake-ups only — at most one per die
-//! plus the occasional channel-busy wake-up, deduplicated by each die's
-//! earliest-pending-wake time); the per-die program-latency scale is cached
-//! and refreshed only when wear actually changes (an erase or
+//! source, and its wake-up calendar holds die wake-ups only — one slot per
+//! die keeping the earliest pending wake-up, so a channel-busy deferral
+//! never adds a second entry; the page mapping packs each in-range entry
+//! into 4 bytes (see [`PageMapping`]); the per-die program-latency scale
+//! is cached and refreshed only when wear actually changes (an erase or
 //! preconditioning) rather than being derived from a wear query on every
 //! page write; the die-mean P/E-cycle count that scale depends on is a
 //! running sum updated on erase/precondition rather than an O(blocks)
@@ -261,12 +262,30 @@ impl Ssd {
     /// Builds a drive from a configuration: one chip model per die, empty
     /// mapping, and the configured erase scheme behind a single drive-wide
     /// controller.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the drive has no channel or no chip per channel, or if it
+    /// has more dies, blocks per die or pages per block than a
+    /// [`PageMapping`] entry can address.
     pub fn new(config: SsdConfig) -> Self {
         assert!(
             config.channels >= 1 && config.chips_per_channel >= 1,
             "the drive needs at least one channel with one chip"
         );
         let geometry = config.family.geometry;
+        assert!(
+            config.dies() <= PageMapping::MAX_DIES as usize
+                && geometry.total_blocks() <= PageMapping::MAX_BLOCKS_PER_DIE as u64
+                && geometry.pages_per_block <= PageMapping::MAX_PAGES_PER_BLOCK,
+            "{} dies x {} blocks x {} pages exceed the page mapping's {} x {} x {}",
+            config.dies(),
+            geometry.total_blocks(),
+            geometry.pages_per_block,
+            PageMapping::MAX_DIES,
+            PageMapping::MAX_BLOCKS_PER_DIE,
+            PageMapping::MAX_PAGES_PER_BLOCK
+        );
         let blocks_per_die = geometry.total_blocks() as u32;
         let pages_per_block = geometry.pages_per_block;
         let dies = (0..config.dies())
@@ -1048,6 +1067,14 @@ mod tests {
         // twice genuinely exhausts physical space; that must be loud.
         ssd.fill_fraction(1.0);
         ssd.fill_fraction(1.0);
+    }
+
+    /// A drive whose addresses cannot pack into a page-mapping entry is
+    /// refused up front instead of aliasing dies in the table.
+    #[test]
+    #[should_panic(expected = "65 dies x 24 blocks x 64 pages exceed the page mapping's 64")]
+    fn unpackable_geometry_is_rejected() {
+        let _ = Ssd::new(SsdConfig::small_test(SchemeKind::Baseline).with_channel_layout(65, 1));
     }
 
     /// The program-latency scale is driven by the die's true mean PEC, not

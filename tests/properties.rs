@@ -142,15 +142,20 @@ proptest! {
     }
 
     /// The logical-to-physical mapping returns exactly the last installed
-    /// location for every logical page.
+    /// location for every logical page, and each update hands back the
+    /// one it replaced, over the full range a packed table entry holds.
     #[test]
-    fn page_mapping_last_write_wins(updates in proptest::collection::vec((0u64..64, 0u32..16, 0u32..64), 1..200)) {
+    fn page_mapping_last_write_wins(updates in proptest::collection::vec((
+        0u64..64,
+        0u32..PageMapping::MAX_DIES,
+        0u32..PageMapping::MAX_BLOCKS_PER_DIE,
+        0u32..PageMapping::MAX_PAGES_PER_BLOCK,
+    ), 1..200)) {
         let mut mapping = PageMapping::new(64);
         let mut reference = std::collections::HashMap::new();
-        for (lpn, block, page) in updates {
-            let ppa = Ppa { die: 0, block, page };
-            mapping.update(lpn, ppa);
-            reference.insert(lpn, ppa);
+        for (lpn, die, block, page) in updates {
+            let ppa = Ppa { die, block, page };
+            prop_assert_eq!(mapping.update(lpn, ppa), reference.insert(lpn, ppa));
         }
         for (lpn, ppa) in reference {
             prop_assert_eq!(mapping.lookup(lpn), Some(ppa));
