@@ -17,10 +17,9 @@ use aero_nand::chip::{Chip, ChipConfig};
 use aero_nand::chip_family::ChipFamily;
 use aero_nand::geometry::ChipGeometry;
 use aero_nand::reliability::retention::RetentionSpec;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Figure 13 experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifetimeStudyConfig {
     /// Chip family to cycle.
     pub family: ChipFamily,
@@ -62,7 +61,7 @@ impl LifetimeStudyConfig {
 }
 
 /// The Figure 13 curve of one scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchemeLifetime {
     /// The scheme.
     pub scheme: SchemeKind,
@@ -93,7 +92,7 @@ impl SchemeLifetime {
 }
 
 /// Result of the full Figure 13 study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifetimeStudy {
     /// Per-scheme curves, in the order of [`SchemeKind::all`].
     pub schemes: Vec<SchemeLifetime>,

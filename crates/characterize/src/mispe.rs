@@ -13,10 +13,9 @@ use aero_nand::chip_family::ChipFamily;
 use aero_nand::erase::ispe::IspeEngine;
 use aero_nand::timing::Micros;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 /// One observation of the m-ISPE probe: the state after one 0.5 ms step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MIspeStep {
     /// The emulated ISPE loop this step belongs to (1-based).
     pub loop_index: u32,
@@ -29,7 +28,7 @@ pub struct MIspeStep {
 }
 
 /// Result of probing one block with the m-ISPE procedure.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MIspeResult {
     /// Every 0.5 ms step observed, in order.
     pub steps: Vec<MIspeStep>,

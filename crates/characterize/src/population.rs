@@ -22,10 +22,9 @@ use aero_nand::reliability::retention::RetentionSpec;
 use aero_nand::wear::WearState;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a synthetic population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopulationConfig {
     /// Chip family to sample from.
     pub family: ChipFamily,
@@ -60,7 +59,7 @@ impl PopulationConfig {
 }
 
 /// One sampled block of the population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockSample {
     /// Index of the chip the block belongs to.
     pub chip: u32,
@@ -119,7 +118,7 @@ impl BlockSample {
 }
 
 /// A population of sampled blocks from many chips.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Population {
     config: PopulationConfig,
     blocks: Vec<BlockSample>,

@@ -1,8 +1,7 @@
 //! Plain-text table formatting for study results.
 //!
 //! The benchmark harness prints each figure/table as an aligned text table so
-//! the regenerated series can be compared against the paper at a glance; the
-//! same structures also serialize to JSON for machine consumption.
+//! the regenerated series can be compared against the paper at a glance.
 
 /// A simple aligned text table.
 #[derive(Debug, Clone, Default)]

@@ -20,7 +20,6 @@ use aero_nand::erase::failbits::FailBitModel;
 use aero_nand::reliability::ecc::EccConfig;
 use aero_nand::reliability::retention::RetentionSpec;
 use aero_nand::timing::Micros;
-use serde::{Deserialize, Serialize};
 
 use crate::mispe::MIspeProbe;
 use crate::population::{BlockSample, Population};
@@ -55,7 +54,7 @@ where
 
 /// Distribution of minimum erase latencies at one P/E-cycle count (one curve
 /// of Figure 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyDistribution {
     /// P/E-cycle count.
     pub pec: u32,
@@ -156,7 +155,7 @@ pub fn erase_latency_variation(population: &Population, pecs: &[u32]) -> Vec<Lat
 
 /// One series of Figure 7: maximum fail-bit count versus accumulated pulse
 /// time in the final erase loop, for blocks with a given `N_ISPE`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailBitSeries {
     /// `N_ISPE` of the blocks contributing to this series.
     pub n_ispe: u32,
@@ -183,7 +182,7 @@ impl FailBitSeries {
 
 /// Figure 7 output: one fail-bit series per `N_ISPE`, plus the δ and γ values
 /// they imply.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailBitStudy {
     /// Series for `N_ISPE` = 2..=5.
     pub series: Vec<FailBitSeries>,
@@ -282,7 +281,7 @@ pub fn failbit_vs_tep(population: &Population, pecs: &[u32]) -> FailBitStudy {
 
 /// Figure 8: how well the fail-bit range before the final loop predicts the
 /// final loop's minimum pulse latency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FelpAccuracy {
     /// Per `N_ISPE`: observations of (fail-bit range index, `mtEP` in ms).
     pub observations: BTreeMap<u32, Vec<(u32, f64)>>,
@@ -362,7 +361,7 @@ pub fn felp_accuracy(population: &Population, pecs: &[u32]) -> FelpAccuracy {
 
 /// Figure 9: distribution of the shallow-erasure fail-bit count and the
 /// average erase latency it implies, for one (`tSE`, PEC) combination.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShallowEraseDistribution {
     /// Shallow pulse latency in ms.
     pub t_se_ms: f64,
@@ -468,7 +467,7 @@ pub fn shallow_erase(
 }
 
 /// Figure 10: the reliability margin after complete and insufficient erasure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReliabilityMargin {
     /// ECC capability in errors per 1 KiB.
     pub ecc_capability: f64,
@@ -553,7 +552,7 @@ pub fn reliability_margin(
 
 /// Figure 11: δ/γ consistency and insufficient-erasure reliability for
 /// another chip family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OtherChipStudy {
     /// Family name.
     pub family_name: String,

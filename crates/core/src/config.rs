@@ -4,7 +4,6 @@ use std::fmt;
 
 use aero_nand::chip_family::ChipFamily;
 use aero_nand::reliability::ecc::EccConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::aero::Aero;
 use crate::baseline::BaselineIspe;
@@ -14,7 +13,7 @@ use crate::iispe::IntelligentIspe;
 use crate::scheme::EraseScheme;
 
 /// The five erase schemes the paper evaluates (§7.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// Conventional ISPE.
     Baseline,

@@ -8,13 +8,12 @@
 use aero_nand::chip::{Chip, EraseReport};
 use aero_nand::geometry::BlockAddr;
 use aero_nand::NandError;
-use serde::Serialize;
 
 use crate::scheme::{BlockContext, BlockId, EraseAction, EraseScheme};
 use crate::stats::EraseStats;
 
 /// Result of one controlled erase operation.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EraseExecution {
     /// The chip-level erase report (loops, latency, stress, residual).
     pub report: EraseReport,

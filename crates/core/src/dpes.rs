@@ -10,12 +10,11 @@
 
 use aero_nand::erase::ispe::EraseLoopOutcome;
 use aero_nand::timing::Micros;
-use serde::{Deserialize, Serialize};
 
 use crate::scheme::{BlockContext, EraseAction, EraseScheme};
 
 /// Configuration of the DPES scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpesConfig {
     /// Relative erase-voltage reduction while DPES is active (paper: 8–10 %).
     pub voltage_scale: f64,

@@ -26,7 +26,6 @@ use aero_nand::reliability::rber::{RberModel, RberSample};
 use aero_nand::reliability::retention::RetentionSpec;
 use aero_nand::timing::Micros;
 use aero_nand::wear::WearState;
-use serde::{Deserialize, Serialize};
 
 /// Number of `N_ISPE` rows the table carries (loops 1..=5, as in Table 1).
 pub const EPT_ROWS: usize = 5;
@@ -34,7 +33,7 @@ pub const EPT_ROWS: usize = 5;
 pub const EPT_RANGES: usize = 8;
 
 /// One EPT entry: the conservative and aggressive pulse latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EptEntry {
     /// Pulse latency when exploiting process variation only (`AERO_CONS`).
     pub conservative: Micros,
@@ -44,7 +43,7 @@ pub struct EptEntry {
 }
 
 /// The decision an EPT lookup produces for the next erase loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EptDecision {
     /// Skip the loop entirely and accept the block as (insufficiently)
     /// erased.
@@ -56,7 +55,7 @@ pub enum EptDecision {
 }
 
 /// The Erase-timing Parameter Table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ept {
     rows: Vec<Vec<EptEntry>>,
     default_pulse: Micros,

@@ -11,12 +11,11 @@ use aero_nand::erase::failbits::FailBitModel;
 use aero_nand::timing::Micros;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::ept::{Ept, EptDecision};
 
 /// The prediction FELP makes for the next erase loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FelpPrediction {
     /// The previous loop already satisfied the pass condition; nothing to do.
     AlreadyComplete,
@@ -36,7 +35,7 @@ pub enum FelpPrediction {
 }
 
 /// Fail-bit-count-based erase-latency predictor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Felp {
     ept: Ept,
     fail_model: FailBitModel,

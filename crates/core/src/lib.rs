@@ -50,7 +50,7 @@ pub mod lifetime;
 pub mod scheme;
 pub mod sef;
 pub mod stats;
-mod wire;
+pub mod wire;
 
 pub use aero::Aero;
 pub use baseline::BaselineIspe;

@@ -11,13 +11,12 @@ use aero_nand::chip::Chip;
 use aero_nand::geometry::BlockAddr;
 use aero_nand::reliability::retention::RetentionSpec;
 use aero_nand::NandError;
-use serde::{Deserialize, Serialize};
 
 use crate::controller::EraseController;
 use crate::scheme::{BlockId, EraseScheme};
 
 /// One point of a lifetime curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifetimePoint {
     /// P/E-cycle count at which the sample was taken.
     pub pec: u32,
@@ -27,7 +26,7 @@ pub struct LifetimePoint {
 }
 
 /// Result of cycling one block to (or past) its end of life.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifetimeCurve {
     /// Scheme used for every erase.
     pub scheme: String,
@@ -51,7 +50,7 @@ impl LifetimeCurve {
 }
 
 /// Configuration of a block-cycling run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CyclingConfig {
     /// Maximum number of P/E cycles to run.
     pub max_pec: u32,

@@ -13,16 +13,15 @@
 
 use aero_nand::erase::ispe::EraseLoopOutcome;
 use aero_nand::timing::Micros;
-use serde::{Deserialize, Serialize};
 
 /// FTL-level identifier of a block (dense index across the whole drive or
 /// test population). Schemes key their per-block metadata (SEF bits, i-ISPE
 /// loop counts) on this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub usize);
 
 /// Context the controller hands to a scheme for one erase operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockContext {
     /// FTL-level block identifier.
     pub block_id: BlockId,
@@ -38,7 +37,7 @@ impl BlockContext {
 }
 
 /// What the scheme wants the chip to do next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EraseAction {
     /// Apply one erase pulse of the given latency, then verify-read.
     Pulse {

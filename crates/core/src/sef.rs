@@ -12,12 +12,10 @@
 //! matches the paper's accounting: one bit per block (≈ 12.5 KB for a 1 TB
 //! SSD).
 
-use serde::{Deserialize, Serialize};
-
 use crate::scheme::BlockId;
 
 /// Packed per-block shallow-erasure flags.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShallowEraseFlags {
     words: Vec<u64>,
     len: usize,

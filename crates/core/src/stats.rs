@@ -2,10 +2,9 @@
 
 use aero_nand::chip::EraseReport;
 use aero_nand::timing::Micros;
-use serde::{Deserialize, Serialize};
 
 /// Running statistics over a sequence of erase operations.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EraseStats {
     /// Number of erase operations recorded.
     pub operations: u64,

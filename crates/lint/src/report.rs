@@ -1,8 +1,8 @@
 //! Report rendering: human-readable text and machine-readable JSON.
 //!
-//! The JSON writer is hand-rolled (the crate has zero dependencies and the
-//! vendored serde is a no-op stand-in); it escapes strings per RFC 8259 and
-//! emits a stable key order so CI artifacts diff cleanly between runs.
+//! The JSON writer is hand-rolled (the crate has zero dependencies); it
+//! escapes strings per RFC 8259 and emits a stable key order so CI
+//! artifacts diff cleanly between runs.
 
 use std::fmt::Write as _;
 

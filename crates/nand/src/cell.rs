@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// How many bits each flash cell stores.
 ///
 /// Multi-level-cell (MLC) technology packs more threshold-voltage states into
 /// the same voltage window, which raises storage density but also the raw
 /// bit-error rate (§2.2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellTechnology {
     /// Single-level cell: 1 bit per cell, 2 threshold-voltage states.
     Slc,
@@ -65,7 +63,7 @@ impl fmt::Display for CellTechnology {
 /// all threshold-voltage states and is the assumption behind the paper's
 /// ECC-margin argument. Deliberately adversarial patterns (all cells kept in
 /// the erased state) maximize the exposure of insufficient erasure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DataPattern {
     /// Scrambled/randomized data, the normal operating mode.
     #[default]

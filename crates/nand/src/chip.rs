@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::cell::DataPattern;
 use crate::chip_family::ChipFamily;
@@ -30,7 +29,7 @@ use crate::wear::WearState;
 use crate::NandError;
 
 /// Configuration of a [`Chip`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipConfig {
     /// The chip family (geometry, timings, calibrated model constants).
     pub family: ChipFamily,
@@ -53,7 +52,7 @@ impl ChipConfig {
 }
 
 /// Per-block bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct BlockState {
     characteristics: EraseCharacteristics,
     wear: WearState,
@@ -69,7 +68,7 @@ struct BlockState {
 }
 
 /// Result of a complete (or deliberately finalized) erase operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EraseReport {
     /// The erased block.
     pub block: BlockAddr,
@@ -103,7 +102,7 @@ impl EraseReport {
 }
 
 /// Result of a page read.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReadReport {
     /// Sensing latency (`tR`).
     pub latency: Micros,
@@ -112,7 +111,7 @@ pub struct ReadReport {
 }
 
 /// Result of a page program.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProgramReport {
     /// Program latency (`tPROG`), including any scheme-induced scaling.
     pub latency: Micros,
@@ -122,7 +121,7 @@ pub struct ProgramReport {
 /// seed-derived process-variation characteristics. A snapshot layer captures
 /// one overlay per block and re-applies it to a freshly rebuilt chip (same
 /// family, same seed) to reconstruct the drive exactly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockOverlay {
     /// Accumulated wear (P/E cycles and stress).
     pub wear: WearState,

@@ -19,8 +19,6 @@
 //! stepping (ISPE) gentler than jumping straight to a high voltage, and what
 //! AERO improves by trimming unnecessary pulse time.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cell::CellTechnology;
 use crate::geometry::ChipGeometry;
 use crate::timing::{Micros, NandTimings};
@@ -29,7 +27,7 @@ use crate::timing::{Micros, NandTimings};
 ///
 /// Doses are in normalized units where one unit equals the dose delivered by
 /// 0.5 ms of erase pulse at the first-loop erase voltage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EraseModelParams {
     /// Mean erase dose required by a brand-new (PEC = 0) block.
     pub base_dose: f64,
@@ -75,7 +73,7 @@ pub struct EraseModelParams {
 /// Fail-bit counts are in the same arbitrary units the paper uses: the slope
 /// `delta` is the decrease in fail bits per 0.5 ms of additional erase pulse,
 /// and `gamma` is the floor reached just before complete erasure (Figure 7).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailBitParams {
     /// Fail-bit decrease per 0.5 ms of erase pulse (δ in the paper, ≈ 5000).
     pub delta: f64,
@@ -95,7 +93,7 @@ pub struct FailBitParams {
 ///
 /// RBER values are expressed as *raw bit errors per 1 KiB codeword*, matching
 /// the paper's figures (ECC capability 72, requirement 63).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliabilityParams {
     /// Errors per 1 KiB for a fresh, completely erased, just-programmed block
     /// read back immediately.
@@ -119,7 +117,7 @@ pub struct ReliabilityParams {
 }
 
 /// A NAND flash chip family: geometry, timing, and calibrated model constants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipFamily {
     /// Human-readable family name.
     pub name: String,

@@ -7,8 +7,6 @@
 //! controller) that prefer a uniform command/response channel over direct
 //! method calls.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cell::DataPattern;
 use crate::chip::{Chip, EraseReport, ProgramReport, ReadReport};
 use crate::erase::ispe::EraseLoopOutcome;
@@ -18,7 +16,7 @@ use crate::timing::Micros;
 use crate::NandError;
 
 /// Feature addresses understood by the GET/SET FEATURE commands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureAddress {
     /// Erase-pulse latency of the next erase loop of an in-flight erase
     /// (set: microseconds; get: currently configured value).
@@ -32,11 +30,11 @@ pub enum FeatureAddress {
 }
 
 /// A feature value carried by GET/SET FEATURE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeatureValue(pub u64);
 
 /// Commands accepted by [`execute`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Read one page under a retention condition.
     ReadPage {
@@ -94,7 +92,7 @@ pub enum Command {
 }
 
 /// Responses produced by [`execute`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CommandResponse {
     /// Response to `ReadPage`.
     Read(ReadReport),

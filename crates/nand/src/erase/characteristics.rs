@@ -25,14 +25,13 @@
 
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::chip_family::ChipFamily;
 use crate::timing::Micros;
 use crate::wear::WearState;
 
 /// Intrinsic, per-block erase characteristics (fixed at manufacturing time).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EraseCharacteristics {
     /// Process-variation offset added to the family's base dose for this
     /// block (normalized dose units; may be negative for easy-to-erase
@@ -101,7 +100,7 @@ impl EraseCharacteristics {
 /// Dynamic erase state of a block: whether it currently holds data, whether
 /// its last erase completed, and how much residual charge (un-erased dose) it
 /// carries.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum BlockEraseState {
     /// Freshly manufactured or fully erased; ready to be programmed.
     #[default]
@@ -137,7 +136,7 @@ impl BlockEraseState {
 
 /// The paper's `mtBERS` decomposition for a block: how many ISPE loops it
 /// needs and the minimum pulse latency of the final loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MinimumEraseLatency {
     /// Number of erase loops required for complete erasure (`N_ISPE`).
     pub n_ispe: u32,

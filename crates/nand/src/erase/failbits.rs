@@ -12,7 +12,6 @@
 //! exact structure, plus a small amount of multiplicative measurement noise.
 
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::chip_family::FailBitParams;
 
@@ -26,7 +25,7 @@ use crate::chip_family::FailBitParams;
 /// * `0 < r <= 1` → fail bits ≈ γ (the floor the paper observes for blocks
 ///   that need only one more 0.5 ms step),
 /// * `r > 1`  → fail bits ≈ γ + δ·(r − 1) (the linear region).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailBitModel {
     params: FailBitParams,
 }

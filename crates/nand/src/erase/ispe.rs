@@ -8,14 +8,13 @@
 //! granularity (used by the SSD simulator's erase-suspension model).
 
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::chip_family::{half_ms_units, ChipFamily};
 use crate::erase::failbits::FailBitModel;
 use crate::timing::Micros;
 
 /// Static parameters of the ISPE scheme for a chip family.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IspeParams {
     /// Default erase-pulse latency (`tEP`).
     pub default_pulse: Micros,
@@ -43,7 +42,7 @@ impl IspeParams {
 }
 
 /// Result of one erase loop (one EP step followed by one VR step).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EraseLoopOutcome {
     /// 1-based index of the loop within the erase operation. Shallow erasure
     /// performed by AERO uses the pulse latency of loop 1, so it also reports
@@ -64,7 +63,7 @@ pub struct EraseLoopOutcome {
 /// The engine is the ground-truth side of the model: it knows the block's
 /// required dose and integrates the dose delivered by each pulse. The FTL only
 /// ever sees [`EraseLoopOutcome`] values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IspeEngine {
     params: IspeParams,
     fail_bit_model: FailBitModel,

@@ -37,7 +37,6 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::chip::EraseReport;
 use crate::reliability::ecc::EccConfig;
@@ -55,7 +54,7 @@ pub const SOFT_DECODE_GAIN: f64 = 1.15;
 /// Injection rates for the NAND fault model, in events per million
 /// operations. All-zero (the [`FaultConfig::disabled`] default) turns the
 /// model off entirely; individual classes can be enabled independently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Program-status failures per million page programs. A failed program
     /// wastes the page slot: the firmware must remap the in-flight write to
@@ -209,7 +208,7 @@ impl FaultModel {
 }
 
 /// Outcome of driving one page read through the read-retry ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReadRecovery {
     /// Number of retry levels used (0 = the initial hard decode
     /// succeeded; at most [`MAX_READ_RETRIES`]).

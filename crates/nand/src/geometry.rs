@@ -3,10 +3,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a plane within a chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PlaneId(pub u32);
 
 impl fmt::Display for PlaneId {
@@ -27,7 +25,7 @@ impl fmt::Display for PlaneId {
 /// assert_eq!(addr.plane.0, 2);
 /// assert_eq!(addr.block, 17);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockAddr {
     /// Plane containing the block.
     pub plane: PlaneId,
@@ -52,7 +50,7 @@ impl fmt::Display for BlockAddr {
 }
 
 /// Address of a page: a block address plus the page index within the block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageAddr {
     /// The containing block.
     pub block: BlockAddr,
@@ -77,7 +75,7 @@ impl fmt::Display for PageAddr {
 ///
 /// The defaults follow Table 2 of the paper: 4 planes per chip, 497 blocks per
 /// plane, 2112 pages per block, 16 KiB pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChipGeometry {
     /// Number of planes on the chip.
     pub planes: u32,

@@ -7,12 +7,10 @@
 //! exceeds the requirement. AERO's aggressive mode spends part of the
 //! remaining margin (requirement − observed errors) on shorter erase pulses.
 
-use serde::{Deserialize, Serialize};
-
 use crate::timing::Micros;
 
 /// ECC configuration of an SSD controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EccConfig {
     /// Maximum correctable raw bit errors per 1 KiB codeword.
     pub capability_per_kib: u32,
@@ -93,7 +91,7 @@ impl Default for EccConfig {
 }
 
 /// Result of decoding one codeword.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EccOutcome {
     /// All raw bit errors were corrected.
     Corrected {

@@ -18,15 +18,13 @@
 //!   data randomization),
 //! * a per-block process-variation offset.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cell::{CellTechnology, DataPattern};
 use crate::chip_family::ChipFamily;
 use crate::reliability::retention::RetentionSpec;
 use crate::wear::WearState;
 
 /// Inputs to one `M_RBER` evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RberSample {
     /// Accumulated wear of the block.
     pub wear: WearState,
@@ -56,7 +54,7 @@ impl RberSample {
 }
 
 /// The per-family RBER model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RberModel {
     cell: CellTechnology,
     params: crate::chip_family::ReliabilityParams,

@@ -9,8 +9,6 @@
 //! express conditions either as (duration, temperature) pairs or directly as
 //! severities.
 
-use serde::{Deserialize, Serialize};
-
 /// Boltzmann constant in eV/K.
 const BOLTZMANN_EV: f64 = 8.617_333e-5;
 
@@ -21,7 +19,7 @@ const ACTIVATION_ENERGY_EV: f64 = 1.1;
 
 /// A retention condition: how long data sits before being read, and at what
 /// temperature.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetentionSpec {
     /// Retention duration in hours.
     pub hours: f64,

@@ -10,8 +10,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A non-negative time duration with 0.1 µs resolution.
 ///
 /// # Examples
@@ -23,9 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let tvr = Micros::from_micros(100);
 /// assert_eq!((tep + tvr).as_micros_f64(), 3600.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Micros(u64);
 
 impl Micros {
@@ -199,7 +195,7 @@ impl Sum for Micros {
 ///
 /// The values follow the paper's Table 2 / §2.1: read 40 µs, program 350 µs,
 /// erase-pulse 3.5 ms, verify-read ~100 µs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NandTimings {
     /// Page read latency (`tR`).
     pub read: Micros,

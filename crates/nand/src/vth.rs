@@ -12,13 +12,11 @@
 //! the expected number of bitlines with at least one cell above the verify
 //! voltage.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary of a block's threshold-voltage state during an erase operation.
 ///
 /// All voltages are in arbitrary normalized units where the verify voltage is
 /// at 0.0 and the pre-erase distribution mean starts positive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VthDistribution {
     /// Mean of the upper (slow-to-erase) tail relative to `V_VERIFY`.
     pub mean: f64,

@@ -7,10 +7,8 @@
 //! *stress*: the normalized voltage-time dose delivered to the block over its
 //! life, plus a smaller program-stress component.
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulated wear of one flash block.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WearState {
     /// Number of completed program/erase cycles.
     pub pec: u32,

@@ -467,13 +467,13 @@ impl Ssd {
             .sum();
         // Every erase failure retires exactly one block, and nothing else
         // retires blocks, so the two counters must stay locked together.
-        if retired != self.erase_failures {
+        if retired != self.counters.erase_failures {
             record(
                 out,
                 Invariant::DriveHealth,
                 format!(
                     "{retired} retired blocks across dies but erase_failures counter is {}",
-                    self.erase_failures
+                    self.counters.erase_failures
                 ),
             );
         }
@@ -515,13 +515,13 @@ impl Ssd {
                 ),
             );
         }
-        if self.read_only && self.user_pages_written != self.read_only_user_pages_written {
+        if self.read_only && self.counters.user_pages_written != self.read_only_user_pages_written {
             record(
                 out,
                 Invariant::DriveHealth,
                 format!(
                     "read-only drive programmed user pages: {} written vs {} at the transition",
-                    self.user_pages_written, self.read_only_user_pages_written
+                    self.counters.user_pages_written, self.read_only_user_pages_written
                 ),
             );
         }

@@ -4,10 +4,9 @@ use aero_core::SchemeKind;
 use aero_nand::chip_family::ChipFamily;
 use aero_nand::geometry::ChipGeometry;
 use aero_nand::FaultConfig;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a simulated SSD.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsdConfig {
     /// Number of channels. Dies on the same channel share one data bus:
     /// their page data transfers serialize while their NAND array

@@ -10,10 +10,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// A physical page address in drive-global coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ppa {
     /// Die index within the drive.
     pub die: u32,
@@ -24,7 +22,7 @@ pub struct Ppa {
 }
 
 /// Lifecycle state of a physical block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockState {
     /// Erased and available for allocation.
     #[default]
@@ -44,7 +42,7 @@ pub enum BlockState {
 }
 
 /// Per-block FTL bookkeeping.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockInfo {
     /// Lifecycle state.
     pub state: BlockState,
@@ -160,7 +158,7 @@ impl BlockInfo {
 }
 
 /// FTL state of one die: block bookkeeping, free list, and the open frontier.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DieFtl {
     blocks: Vec<BlockInfo>,
     free_blocks: Vec<u32>,
@@ -426,7 +424,7 @@ fn unpackable_field(ppa: Ppa) -> &'static str {
 /// orphan physical copy immortal: they accumulated across overwrites,
 /// garbage collection could never reclaim their blocks, and a full drive
 /// silently lost GC migrations — a bug the state auditor surfaced.)
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageMapping {
     /// Packed in-range entries (`UNMAPPED` = no mapping).
     table: Vec<u32>,

@@ -14,14 +14,12 @@
 
 use std::cell::RefCell;
 
-use serde::{Deserialize, Serialize};
-
 /// The tail percentiles bench tables report, fetched in one call via
 /// [`LatencyRecorder::tails`] so bins stop hand-rolling percentile lookups.
 ///
 /// With fewer samples than a percentile resolves, values saturate to the
 /// maximum observed latency; an empty recorder yields all zeros.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TailLatencies {
     /// 99th percentile, nanoseconds.
     pub p99_ns: u64,
@@ -49,7 +47,7 @@ impl TailLatencies {
 }
 
 /// Records per-request latencies (in nanoseconds) and computes percentiles.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct LatencyRecorder {
     /// Samples in recording order.
     samples: Vec<u64>,

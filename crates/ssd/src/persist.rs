@@ -13,13 +13,14 @@
 //! a run split across a save/restore produces the same [`crate::RunReport`]
 //! as an uninterrupted one.
 //!
-//! The codec is a hand-rolled little-endian binary format (the workspace's
-//! `serde` is a no-op stand-in), length-prefixed throughout, with a magic
-//! header and a whole-file checksum so torn writes — truncations, single
-//! bit flips — are rejected with a typed [`PersistError`] instead of
-//! producing a silently corrupt drive. After decoding, the restore path
-//! additionally runs the full drive audit ([`Ssd::audit`]) and refuses any
-//! snapshot whose decoded state is internally inconsistent.
+//! The format is little-endian binary written with [`aero_core::wire`] (the
+//! codec the erase schemes' state blobs use), length-prefixed throughout,
+//! with a magic header and a whole-file checksum so torn writes —
+//! truncations, single bit flips — are rejected with a typed
+//! [`PersistError`] instead of producing a silently corrupt drive. After
+//! decoding, the restore path additionally runs the full drive audit
+//! ([`Ssd::audit`]) and refuses any snapshot whose decoded state is
+//! internally inconsistent.
 //!
 //! # Binary format (version 2)
 //!
@@ -49,6 +50,7 @@ use std::io;
 
 use aero_core::fingerprint::{fnv1a_64, Fingerprint};
 use aero_core::scheme::EraseScheme;
+use aero_core::wire::{put_f64, put_u32, put_u64, Reader};
 use aero_core::EraseStats;
 use aero_nand::cell::DataPattern;
 use aero_nand::chip::BlockOverlay;
@@ -58,7 +60,7 @@ use aero_nand::wear::WearState;
 
 use crate::config::SsdConfig;
 use crate::ftl::{BlockInfo, BlockState, DieFtl, PageMapping, Ppa};
-use crate::ssd::{EraseJob, GcMove, Ssd};
+use crate::ssd::{DriveCounters, EraseJob, GcMove, Ssd};
 
 /// Current snapshot format version. Bumped whenever the binary layout
 /// changes; older files are rejected with
@@ -191,73 +193,6 @@ pub fn config_fingerprint(config: &SsdConfig) -> u64 {
     f.finish()
 }
 
-// ---------------------------------------------------------------------
-// Little-endian encoding helpers
-// ---------------------------------------------------------------------
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-/// Bounds-checked little-endian cursor; every read returns `None` without
-/// consuming anything when fewer bytes remain than requested.
-struct Reader<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.bytes.len() < n {
-            return None;
-        }
-        let (head, tail) = self.bytes.split_at(n);
-        self.bytes = tail;
-        Some(head)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-}
-
 /// `Some(v)` or bail with [`PersistError::Truncated`].
 macro_rules! need {
     ($e:expr) => {
@@ -298,27 +233,24 @@ fn put_block_overlay(out: &mut Vec<u8>, overlay: &BlockOverlay) {
     put_f64(out, overlay.wear.erase_stress);
     put_f64(out, overlay.wear.program_stress);
     match overlay.erase_state {
-        BlockEraseState::Erased => put_u8(out, 0),
+        BlockEraseState::Erased => out.push(0),
         BlockEraseState::PartiallyErased { residual_units } => {
-            put_u8(out, 1);
+            out.push(1);
             put_f64(out, residual_units);
         }
-        BlockEraseState::Programmed => put_u8(out, 2),
+        BlockEraseState::Programmed => out.push(2),
     }
     put_u32(out, overlay.next_page);
     put_u32(out, overlay.programmed_pages);
-    put_u8(
-        out,
-        match overlay.pattern {
-            DataPattern::Randomized => 0,
-            DataPattern::AllErasedState => 1,
-            DataPattern::AllProgrammedState => 2,
-        },
-    );
+    out.push(match overlay.pattern {
+        DataPattern::Randomized => 0,
+        DataPattern::AllErasedState => 1,
+        DataPattern::AllProgrammedState => 2,
+    });
     match overlay.last_n_ispe {
-        None => put_u8(out, 0),
+        None => out.push(0),
         Some(n) => {
-            put_u8(out, 1);
+            out.push(1);
             put_u32(out, n);
         }
     }
@@ -359,6 +291,15 @@ fn read_block_overlay(r: &mut Reader<'_>) -> Result<BlockOverlay, PersistError> 
         pattern,
         last_n_ispe,
     })
+}
+
+/// Reads a `0`/`1` flag byte; any other value is corrupt.
+fn read_flag(r: &mut Reader<'_>, what: &'static str) -> Result<bool, PersistError> {
+    match need!(r.u8()) {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(PersistError::Corrupt(what)),
+    }
 }
 
 fn block_state_tag(state: BlockState) -> u8 {
@@ -404,9 +345,9 @@ impl Ssd {
         put_u64(&mut out, self.mapping.len() as u64);
         for lpn in 0..self.mapping.len() as u64 {
             match self.mapping.lookup(lpn) {
-                None => put_u8(&mut out, 0),
+                None => out.push(0),
                 Some(ppa) => {
-                    put_u8(&mut out, 1);
+                    out.push(1);
                     put_ppa(&mut out, ppa);
                 }
             }
@@ -418,23 +359,24 @@ impl Ssd {
         }
 
         // Drive-wide scheduler counters.
+        let counters = &self.counters;
         put_u64(&mut out, self.next_write_die as u64);
-        put_u64(&mut out, self.gc_invocations);
-        put_u64(&mut out, self.gc_page_moves);
-        put_u64(&mut out, self.erase_suspensions);
-        put_u64(&mut out, self.user_pages_written);
+        put_u64(&mut out, counters.gc_invocations);
+        put_u64(&mut out, counters.gc_page_moves);
+        put_u64(&mut out, counters.erase_suspensions);
+        put_u64(&mut out, counters.user_pages_written);
         put_u64(&mut out, self.next_request_id);
 
         // Drive-health state: lifetime fault counters, the retry
         // histogram, and the read-only degradation latch.
-        put_u64(&mut out, self.program_failures);
-        put_u64(&mut out, self.erase_failures);
-        put_u64(&mut out, self.media_errors);
-        put_u64(&mut out, self.writes_rejected);
-        for bucket in self.read_retry_histogram {
+        put_u64(&mut out, counters.program_failures);
+        put_u64(&mut out, counters.erase_failures);
+        put_u64(&mut out, counters.media_errors);
+        put_u64(&mut out, counters.writes_rejected);
+        for bucket in counters.read_retry_histogram {
             put_u64(&mut out, bucket);
         }
-        put_u8(&mut out, self.read_only as u8);
+        out.push(self.read_only as u8);
         put_u64(&mut out, self.read_only_user_pages_written);
 
         // Drive-wide erase statistics (run-local reports diff against
@@ -482,7 +424,7 @@ impl Ssd {
             // FTL bookkeeping.
             for b in 0..blocks {
                 let info = die.ftl.block(b);
-                put_u8(&mut out, block_state_tag(info.state));
+                out.push(block_state_tag(info.state));
                 put_u32(&mut out, info.written_pages);
                 for &word in info.valid_words() {
                     put_u64(&mut out, word);
@@ -494,9 +436,9 @@ impl Ssd {
                 put_u32(&mut out, b);
             }
             match die.ftl.frontier() {
-                None => put_u8(&mut out, 0),
+                None => out.push(0),
                 Some(b) => {
-                    put_u8(&mut out, 1);
+                    out.push(1);
                     put_u32(&mut out, b);
                 }
             }
@@ -514,21 +456,21 @@ impl Ssd {
                 put_u32(&mut out, mv.page);
             }
             match &die.erase_job {
-                None => put_u8(&mut out, 0),
+                None => out.push(0),
                 Some(job) => {
-                    put_u8(&mut out, 1);
+                    out.push(1);
                     put_u32(&mut out, job.block);
                     put_u64(&mut out, job.loop_latencies.len() as u64);
                     for &l in &job.loop_latencies {
                         put_u64(&mut out, l);
                     }
                     put_u64(&mut out, job.next_loop as u64);
-                    put_u8(&mut out, job.started as u8);
-                    put_u8(&mut out, job.suspended as u8);
-                    put_u8(&mut out, job.failed as u8);
+                    out.push(job.started as u8);
+                    out.push(job.suspended as u8);
+                    out.push(job.failed as u8);
                 }
             }
-            put_u8(&mut out, die.gc_in_progress as u8);
+            out.push(die.gc_in_progress as u8);
 
             // Die scheduler clocks (the per-run bus clocks are reset by
             // every session open; the durable pieces are the PEC sum and
@@ -590,22 +532,23 @@ impl Ssd {
         if bytes.len() < HEADER_BYTES + CHECKSUM_BYTES {
             return Err(PersistError::Truncated);
         }
-        if bytes[..8] != MAGIC {
+        let body_end = bytes.len() - CHECKSUM_BYTES;
+        let mut r = Reader::new(&bytes[..body_end]);
+        if *need!(r.take(MAGIC.len())) != MAGIC {
             return Err(PersistError::BadMagic);
         }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+        let version = need!(r.u32());
         if version != FORMAT_VERSION {
             return Err(PersistError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
             });
         }
-        let body_end = bytes.len() - CHECKSUM_BYTES;
-        let stored_checksum = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
+        let stored_checksum = need!(Reader::new(&bytes[body_end..]).u64());
         if fnv1a_64(&bytes[..body_end]) != stored_checksum {
             return Err(PersistError::ChecksumMismatch);
         }
-        let found = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
+        let found = need!(r.u64());
         let expected = config_fingerprint(config);
         if found != expected {
             return Err(PersistError::ConfigMismatch { expected, found });
@@ -618,7 +561,6 @@ impl Ssd {
             pages_per_block: geometry.pages_per_block,
         };
         let valid_words_per_block = (limits.pages_per_block as usize).div_ceil(64);
-        let mut r = Reader::new(&bytes[HEADER_BYTES..body_end]);
 
         // Mapping.
         let table_len = need!(r.u64());
@@ -657,28 +599,26 @@ impl Ssd {
         if next_write_die >= limits.dies as u64 {
             return Err(PersistError::Corrupt("round-robin write die index"));
         }
-        let gc_invocations = need!(r.u64());
-        let gc_page_moves = need!(r.u64());
-        let erase_suspensions = need!(r.u64());
-        let user_pages_written = need!(r.u64());
+        let mut counters = DriveCounters {
+            gc_invocations: need!(r.u64()),
+            gc_page_moves: need!(r.u64()),
+            erase_suspensions: need!(r.u64()),
+            user_pages_written: need!(r.u64()),
+            ..DriveCounters::default()
+        };
         let next_request_id = need!(r.u64());
 
         // Drive-health state.
-        let program_failures = need!(r.u64());
-        let erase_failures = need!(r.u64());
-        let media_errors = need!(r.u64());
-        let writes_rejected = need!(r.u64());
-        let mut read_retry_histogram = [0u64; 6];
-        for bucket in &mut read_retry_histogram {
+        counters.program_failures = need!(r.u64());
+        counters.erase_failures = need!(r.u64());
+        counters.media_errors = need!(r.u64());
+        counters.writes_rejected = need!(r.u64());
+        for bucket in &mut counters.read_retry_histogram {
             *bucket = need!(r.u64());
         }
-        let read_only = match need!(r.u8()) {
-            0 => false,
-            1 => true,
-            _ => return Err(PersistError::Corrupt("read-only flag")),
-        };
+        let read_only = read_flag(&mut r, "read-only flag")?;
         let read_only_user_pages_written = need!(r.u64());
-        if read_only && read_only_user_pages_written != user_pages_written {
+        if read_only && read_only_user_pages_written != counters.user_pages_written {
             return Err(PersistError::Corrupt("read-only write freeze"));
         }
 
@@ -723,16 +663,8 @@ impl Ssd {
         ssd.controller.restore_stats(stats);
         ssd.mapping = mapping;
         ssd.next_write_die = next_write_die as usize;
-        ssd.gc_invocations = gc_invocations;
-        ssd.gc_page_moves = gc_page_moves;
-        ssd.erase_suspensions = erase_suspensions;
-        ssd.user_pages_written = user_pages_written;
+        ssd.counters = counters;
         ssd.next_request_id = next_request_id;
-        ssd.program_failures = program_failures;
-        ssd.erase_failures = erase_failures;
-        ssd.media_errors = media_errors;
-        ssd.writes_rejected = writes_rejected;
-        ssd.read_retry_histogram = read_retry_histogram;
         ssd.read_only = read_only;
         ssd.read_only_user_pages_written = read_only_user_pages_written;
 
@@ -854,21 +786,9 @@ impl Ssd {
                     if next_loop > loop_count {
                         return Err(PersistError::Corrupt("erase-job loop cursor"));
                     }
-                    let started = match need!(r.u8()) {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(PersistError::Corrupt("erase-job started flag")),
-                    };
-                    let suspended = match need!(r.u8()) {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(PersistError::Corrupt("erase-job suspended flag")),
-                    };
-                    let failed = match need!(r.u8()) {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(PersistError::Corrupt("erase-job failed flag")),
-                    };
+                    let started = read_flag(&mut r, "erase-job started flag")?;
+                    let suspended = read_flag(&mut r, "erase-job suspended flag")?;
+                    let failed = read_flag(&mut r, "erase-job failed flag")?;
                     Some(EraseJob {
                         block,
                         loop_latencies,
@@ -880,11 +800,7 @@ impl Ssd {
                 }
                 _ => return Err(PersistError::Corrupt("erase-job tag")),
             };
-            die.gc_in_progress = match need!(r.u8()) {
-                0 => false,
-                1 => true,
-                _ => return Err(PersistError::Corrupt("GC-in-progress flag")),
-            };
+            die.gc_in_progress = read_flag(&mut r, "GC-in-progress flag")?;
             die.pec_sum = need!(r.u64());
             let program_scale = need!(r.f64());
             if !program_scale.is_finite() || program_scale < 1.0 {

@@ -1,7 +1,6 @@
 //! Results of a trace replay.
 
 use aero_core::stats::EraseStats;
-use serde::{Deserialize, Serialize};
 
 use crate::latency::{LatencyRecorder, TailLatencies};
 
@@ -11,7 +10,7 @@ use crate::latency::{LatencyRecorder, TailLatencies};
 /// serialize on it while NAND array time (tR / tPROG / erase loops)
 /// overlaps freely across the channel's dies. These counters measure how
 /// contended that bus was during the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChannelStats {
     /// Page data transfers carried over this channel's bus.
     pub transfers: u64,
@@ -37,7 +36,7 @@ pub struct ChannelStats {
 /// `retired_blocks`, `spare_blocks_total`, `spare_headroom`, and
 /// `read_only` describe the drive's *state* at the end of the run (state
 /// accumulated over the drive's whole lifetime, including earlier runs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DriveHealth {
     /// Blocks permanently retired after failed erases, drive-wide.
     pub retired_blocks: u64,
@@ -100,7 +99,7 @@ impl DriveHealth {
 /// `queue_delay` — a tenant with a fast device but a starved queue shows
 /// up as high end-to-end latency and high queue delay. All counters are
 /// run-local, like every other report counter.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TenantReport {
     /// Tenant name as registered on the host interface.
     pub name: String,
@@ -157,7 +156,7 @@ impl TenantReport {
 }
 
 /// Everything measured during one trace replay on a simulated SSD.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunReport {
     /// Erase scheme used for the run.
     pub scheme: String,
@@ -173,6 +172,9 @@ pub struct RunReport {
     pub makespan_ns: u64,
     /// Statistics over every erase operation performed during the run.
     pub erase_stats: EraseStats,
+    /// User pages programmed this run: each page of a multi-page write
+    /// counts, garbage-collection migrations do not.
+    pub user_pages_written: u64,
     /// Number of garbage-collection victim selections.
     pub gc_invocations: u64,
     /// Number of pages migrated by garbage collection.
@@ -227,14 +229,14 @@ impl RunReport {
         self.tenants.iter().find(|t| t.name == name)
     }
 
-    /// Write amplification: physical page programs per logical page written
-    /// (1.0 means no GC traffic). Requires the caller to have tracked logical
-    /// pages written; here it is derived from GC moves.
-    pub fn write_amplification(&self, user_pages_written: u64) -> f64 {
-        if user_pages_written == 0 {
+    /// Write amplification: page programs per user page written this run,
+    /// `(user_pages_written + gc_page_moves) / user_pages_written` (1.0
+    /// means no GC traffic, and for a run that wrote no user page).
+    pub fn write_amplification(&self) -> f64 {
+        if self.user_pages_written == 0 {
             return 1.0;
         }
-        (user_pages_written + self.gc_page_moves) as f64 / user_pages_written as f64
+        (self.user_pages_written + self.gc_page_moves) as f64 / self.user_pages_written as f64
     }
 
     /// Total number of times any transfer waited for a shared channel bus
@@ -290,12 +292,13 @@ mod tests {
             reads_completed: 500,
             writes_completed: 500,
             makespan_ns: 1_000_000_000,
+            user_pages_written: 1_000,
             gc_page_moves: 250,
             ..RunReport::default()
         };
         r.read_latency.record(40_000);
         assert!((r.iops() - 1_000.0).abs() < 1e-9);
-        assert!((r.write_amplification(1_000) - 1.25).abs() < 1e-12);
+        assert!((r.write_amplification() - 1.25).abs() < 1e-12);
         assert!((r.mean_read_latency_us() - 40.0).abs() < 1e-9);
     }
 
@@ -303,7 +306,7 @@ mod tests {
     fn empty_report_is_safe() {
         let r = RunReport::default();
         assert_eq!(r.iops(), 0.0);
-        assert_eq!(r.write_amplification(0), 1.0);
+        assert_eq!(r.write_amplification(), 1.0);
         assert_eq!(r.transfer_waits(), 0);
         assert_eq!(r.transfer_wait_ns(), 0);
         assert!(r.channel_utilization().is_empty());
@@ -339,7 +342,7 @@ mod tests {
             r.iops(),
             r.mean_channel_utilization(),
             r.mean_read_latency_us(),
-            r.write_amplification(0),
+            r.write_amplification(),
         ] {
             assert!(helper.is_finite());
         }

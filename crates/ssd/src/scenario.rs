@@ -378,15 +378,15 @@ pub fn run_scenario_with(
         requests_completed: completed_before,
         checkpoints: auditor.checkpoints(),
         sessions_run,
-        gc_invocations: ssd.gc_invocations,
+        gc_invocations: ssd.counters.gc_invocations,
         erases: ssd.erase_stats().operations,
         crashed,
         faulted: scenario.fault.is_some(),
         retired_blocks: ssd.retired_blocks(),
-        program_failures: ssd.program_failures,
-        media_errors: ssd.media_errors,
-        recovered_reads: ssd.read_retry_histogram[1..].iter().sum(),
-        writes_rejected_read_only: ssd.writes_rejected,
+        program_failures: ssd.counters.program_failures,
+        media_errors: ssd.counters.media_errors,
+        recovered_reads: ssd.counters.read_retry_histogram[1..].iter().sum(),
+        writes_rejected_read_only: ssd.counters.writes_rejected,
         read_only: ssd.read_only(),
         multi_tenant,
         tenant_requests_completed,
@@ -604,10 +604,7 @@ fn check_report_sanity(report: &RunReport, context: &str, out: &mut Vec<Violatio
         ("iops", report.iops()),
         ("mean_read_latency_us", report.mean_read_latency_us()),
         ("mean_write_latency_us", report.mean_write_latency_us()),
-        (
-            "write_amplification",
-            report.write_amplification(report.writes_completed),
-        ),
+        ("write_amplification", report.write_amplification()),
         (
             "mean_channel_utilization",
             report.mean_channel_utilization(),

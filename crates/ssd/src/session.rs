@@ -66,7 +66,7 @@ use crate::audit::{record, AuditReport, Auditor, Invariant, Violation};
 use crate::ftl::Ppa;
 use crate::latency::LatencyRecorder;
 use crate::report::{ChannelStats, DriveHealth, RunReport, TenantReport};
-use crate::ssd::{EraseJob, PageTxn, PlacedWrite, Ssd};
+use crate::ssd::{DriveCounters, EraseJob, PageTxn, PlacedWrite, Ssd};
 
 /// How a request completed: normally, or degraded through the drive's
 /// fault-recovery path. Requests complete — they are never silently
@@ -385,15 +385,7 @@ pub struct Simulation<'a, S> {
     write_latency: LatencyRecorder,
     makespan_ns: u64,
     baseline_erase_stats: aero_core::EraseStats,
-    baseline_gc_invocations: u64,
-    baseline_gc_page_moves: u64,
-    baseline_erase_suspensions: u64,
-    // Run-local fault/health accounting.
-    baseline_program_failures: u64,
-    baseline_erase_failures: u64,
-    baseline_media_errors: u64,
-    baseline_read_retry_histogram: [u64; 6],
-    baseline_writes_rejected: u64,
+    baseline_counters: DriveCounters,
     /// Largest single-erase latency decided during *this* run (the
     /// lifetime maximum in `EraseStats` is not subtractable, so the
     /// session tracks the run-local maximum directly).
@@ -420,14 +412,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
         let page_bytes = ssd.config.family.geometry.page_size_bytes;
         let scheme = ssd.config.scheme.label().to_string();
         let baseline_erase_stats = ssd.controller.stats().clone();
-        let baseline_gc_invocations = ssd.gc_invocations;
-        let baseline_gc_page_moves = ssd.gc_page_moves;
-        let baseline_erase_suspensions = ssd.erase_suspensions;
-        let baseline_program_failures = ssd.program_failures;
-        let baseline_erase_failures = ssd.erase_failures;
-        let baseline_media_errors = ssd.media_errors;
-        let baseline_read_retry_histogram = ssd.read_retry_histogram;
-        let baseline_writes_rejected = ssd.writes_rejected;
+        let baseline_counters = ssd.counters;
         let in_flight_base = ssd.next_request_id;
         let sched = DieSched::new(ssd);
         let mut sim = Simulation {
@@ -451,14 +436,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
             write_latency: LatencyRecorder::new(),
             makespan_ns: 0,
             baseline_erase_stats,
-            baseline_gc_invocations,
-            baseline_gc_page_moves,
-            baseline_erase_suspensions,
-            baseline_program_failures,
-            baseline_erase_failures,
-            baseline_media_errors,
-            baseline_read_retry_histogram,
-            baseline_writes_rejected,
+            baseline_counters,
             run_max_erase_latency: Micros::ZERO,
             read_only_since_ns: None,
             tenant_stats: Vec::new(),
@@ -735,11 +713,11 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
         } else {
             recovery.retries.min(4) as usize
         };
-        self.ssd.read_retry_histogram[bucket] += 1;
+        self.ssd.counters.read_retry_histogram[bucket] += 1;
         if recovery.corrected {
             (recovery.extra_latency_ns, CompletionStatus::Ok)
         } else {
-            self.ssd.media_errors += 1;
+            self.ssd.counters.media_errors += 1;
             (recovery.extra_latency_ns, CompletionStatus::MediaError)
         }
     }
@@ -974,11 +952,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
         // `EraseStats::diff` cannot subtract maxima; the session tracked
         // the run-local maximum itself.
         erase_stats.max_latency = self.run_max_erase_latency;
-        let mut read_retry_histogram = [0u64; 6];
-        for (bucket, out) in read_retry_histogram.iter_mut().enumerate() {
-            *out =
-                self.ssd.read_retry_histogram[bucket] - self.baseline_read_retry_histogram[bucket];
-        }
+        let run = self.ssd.counters.diff(&self.baseline_counters);
         RunReport {
             scheme: self.scheme.clone(),
             reads_completed: self.reads_completed,
@@ -987,9 +961,10 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
             write_latency: LatencyRecorder::new(),
             makespan_ns: self.makespan_ns,
             erase_stats,
-            gc_invocations: self.ssd.gc_invocations - self.baseline_gc_invocations,
-            gc_page_moves: self.ssd.gc_page_moves - self.baseline_gc_page_moves,
-            erase_suspensions: self.ssd.erase_suspensions - self.baseline_erase_suspensions,
+            user_pages_written: run.user_pages_written,
+            gc_invocations: run.gc_invocations,
+            gc_page_moves: run.gc_page_moves,
+            erase_suspensions: run.erase_suspensions,
             channel_stats: self
                 .ssd
                 .channels
@@ -1006,11 +981,11 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                 retired_blocks: self.ssd.retired_blocks(),
                 spare_blocks_total: self.ssd.config.spare_budget(),
                 spare_headroom: self.ssd.spare_headroom(),
-                program_failures: self.ssd.program_failures - self.baseline_program_failures,
-                erase_failures: self.ssd.erase_failures - self.baseline_erase_failures,
-                media_errors: self.ssd.media_errors - self.baseline_media_errors,
-                read_retry_histogram,
-                writes_rejected_read_only: self.ssd.writes_rejected - self.baseline_writes_rejected,
+                program_failures: run.program_failures,
+                erase_failures: run.erase_failures,
+                media_errors: run.media_errors,
+                read_retry_histogram: run.read_retry_histogram,
+                writes_rejected_read_only: run.writes_rejected,
                 read_only: self.ssd.read_only,
                 read_only_since_ns: self.read_only_since_ns,
             },
@@ -1222,7 +1197,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                     .expect("in-flight erase checked above");
                 if !job.suspended {
                     job.suspended = true;
-                    self.ssd.erase_suspensions += 1;
+                    self.ssd.counters.erase_suspensions += 1;
                 }
             }
             // Sense on the die's array, then move the page over the shared
@@ -1274,7 +1249,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                 // arrived at the controller) but nothing is programmed; the
                 // page completes as `DriveReadOnly`.
                 self.charge_write_deferral(die_idx, channel_idx, now);
-                self.ssd.writes_rejected += 1;
+                self.ssd.counters.writes_rejected += 1;
                 let done = self.ssd.channels[channel_idx].reserve(now, transfer) + transfer;
                 self.complete_page(txn, done, CompletionStatus::DriveReadOnly);
                 self.make_busy(die_idx, now, done - now);
@@ -1335,7 +1310,8 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                     // completes as `DriveReadOnly` while reads keep serving.
                     if !self.ssd.read_only {
                         self.ssd.read_only = true;
-                        self.ssd.read_only_user_pages_written = self.ssd.user_pages_written;
+                        self.ssd.read_only_user_pages_written =
+                            self.ssd.counters.user_pages_written;
                         self.read_only_since_ns = Some(now);
                     }
                     let txn = self.ssd.dies[die_idx]
@@ -1343,7 +1319,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                         .pop_front()
                         // aero-lint: allow(D4, the same transaction was push_front'ed two lines up)
                         .expect("just requeued");
-                    self.ssd.writes_rejected += 1;
+                    self.ssd.counters.writes_rejected += 1;
                     let done = self.ssd.channels[channel_idx].reserve(now, transfer) + transfer;
                     self.complete_page(txn, done, CompletionStatus::DriveReadOnly);
                     self.make_busy(die_idx, now, done - now);
@@ -1409,8 +1385,8 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                 // scale as user writes (DPES trades erase stress for slower
                 // programs on *every* program, GC migrations included).
                 done = write_in_done + (timings.program.as_nanos() as f64 * program_scale) as u64;
-                self.ssd.gc_page_moves += 1;
-                self.ssd.user_pages_written -= 1; // GC rewrites are not user writes
+                self.ssd.counters.gc_page_moves += 1;
+                self.ssd.counters.user_pages_written -= 1; // GC rewrites are not user writes
             } else if still_valid {
                 // The rescue write found no slot. The feasibility gate and
                 // the slot reserve make this rare (program-status failures
@@ -1705,7 +1681,7 @@ mod tests {
             now = sim.sched.busy_until[0];
         }
         assert_eq!(
-            sim.ssd.erase_suspensions, 1,
+            sim.ssd.counters.erase_suspensions, 1,
             "three reads in one suspension window are one suspension"
         );
         // No reads pending: the erase resumes (one loop).
@@ -1716,7 +1692,7 @@ mod tests {
             .user_reads
             .push_back(PageTxn { request: 3, lpn: 9 });
         sim.dispatch(0, now);
-        assert_eq!(sim.ssd.erase_suspensions, 2);
+        assert_eq!(sim.ssd.counters.erase_suspensions, 2);
     }
 
     /// GC rewrites pay the same wear-dependent program-latency scale as
@@ -1751,7 +1727,7 @@ mod tests {
             sim.sched.busy_until[0], expected,
             "the migration must pay tR + two bus transfers + scaled tPROG"
         );
-        assert_eq!(sim.ssd.gc_page_moves, 1);
+        assert_eq!(sim.ssd.counters.gc_page_moves, 1);
     }
 
     /// Satellite regression: per-run scheduler state left behind by a prior
@@ -2008,7 +1984,7 @@ mod tests {
         assert_eq!(snap.mean_write_latency_us(), 0.0);
         assert_eq!(snap.channel_utilization(), vec![0.0, 0.0]);
         assert_eq!(snap.mean_channel_utilization(), 0.0);
-        assert!(snap.write_amplification(0).is_finite());
+        assert!(snap.write_amplification().is_finite());
     }
 
     /// An attached auditor stays clean through a GC-heavy run, fires

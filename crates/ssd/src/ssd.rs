@@ -209,6 +209,60 @@ pub(crate) struct GcStart {
     pub(crate) page_moves: usize,
 }
 
+/// The drive's lifetime event counters, kept in one place so a session can
+/// make every report counter run-local with a single copy and
+/// [`DriveCounters::diff`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct DriveCounters {
+    /// Garbage-collection victim selections.
+    pub(crate) gc_invocations: u64,
+    /// Pages migrated by garbage collection.
+    pub(crate) gc_page_moves: u64,
+    /// Erase suspension transitions (see [`EraseJob::suspended`]).
+    pub(crate) erase_suspensions: u64,
+    /// User pages placed, including preconditioning fills; GC migrations
+    /// are not user pages.
+    pub(crate) user_pages_written: u64,
+    /// Program-status failures absorbed by remapping the in-flight page to
+    /// the next frontier slot.
+    pub(crate) program_failures: u64,
+    /// Erase-status failures; each one retires a block.
+    pub(crate) erase_failures: u64,
+    /// Reads left uncorrectable after the full recovery ladder (completed
+    /// as `MediaError`).
+    pub(crate) media_errors: u64,
+    /// User writes completed as `DriveReadOnly`.
+    pub(crate) writes_rejected: u64,
+    /// Read-recovery histogram: buckets 0–4 count reads resolved after
+    /// that many retries, bucket 5 counts soft-decode fallbacks.
+    pub(crate) read_retry_histogram: [u64; 6],
+}
+
+impl DriveCounters {
+    /// The events counted since `earlier`, a copy of these counters taken
+    /// before (counters only grow, so every field subtracts cleanly).
+    pub(crate) fn diff(&self, earlier: &DriveCounters) -> DriveCounters {
+        let mut read_retry_histogram = self.read_retry_histogram;
+        for (bucket, before) in read_retry_histogram
+            .iter_mut()
+            .zip(earlier.read_retry_histogram)
+        {
+            *bucket -= before;
+        }
+        DriveCounters {
+            gc_invocations: self.gc_invocations - earlier.gc_invocations,
+            gc_page_moves: self.gc_page_moves - earlier.gc_page_moves,
+            erase_suspensions: self.erase_suspensions - earlier.erase_suspensions,
+            user_pages_written: self.user_pages_written - earlier.user_pages_written,
+            program_failures: self.program_failures - earlier.program_failures,
+            erase_failures: self.erase_failures - earlier.erase_failures,
+            media_errors: self.media_errors - earlier.media_errors,
+            writes_rejected: self.writes_rejected - earlier.writes_rejected,
+            read_retry_histogram,
+        }
+    }
+}
+
 /// The simulated SSD.
 pub struct Ssd {
     pub(crate) config: SsdConfig,
@@ -219,10 +273,9 @@ pub struct Ssd {
     pub(crate) channels: Vec<Channel>,
     pub(crate) controller: EraseController<Box<dyn EraseScheme>>,
     pub(crate) next_write_die: usize,
-    pub(crate) gc_invocations: u64,
-    pub(crate) gc_page_moves: u64,
-    pub(crate) erase_suspensions: u64,
-    pub(crate) user_pages_written: u64,
+    /// Lifetime event counters; reports diff them against a session-open
+    /// copy.
+    pub(crate) counters: DriveCounters,
     /// Session-wide request id counter. Ids are unique across every session
     /// ever opened on this drive, so a page transaction left queued by an
     /// abandoned session can never be mistaken for a later session's
@@ -231,19 +284,6 @@ pub struct Ssd {
     /// ECC configuration the drive was built with; shared by the erase
     /// scheme derivation and the read-retry/soft-decode recovery ladder.
     pub(crate) ecc: EccConfig,
-    /// Lifetime count of program-status failures absorbed by remapping the
-    /// in-flight page to the next frontier slot.
-    pub(crate) program_failures: u64,
-    /// Lifetime count of erase-status failures; each one retires a block.
-    pub(crate) erase_failures: u64,
-    /// Lifetime count of reads left uncorrectable after the full recovery
-    /// ladder (completed as `MediaError`).
-    pub(crate) media_errors: u64,
-    /// Lifetime read-recovery histogram: buckets 0–4 count reads resolved
-    /// after that many retries, bucket 5 counts soft-decode fallbacks.
-    pub(crate) read_retry_histogram: [u64; 6],
-    /// Lifetime count of user writes completed as `DriveReadOnly`.
-    pub(crate) writes_rejected: u64,
     /// Whether the drive has exhausted its bad-block spare budget and
     /// degraded to read-only mode. Terminal: reads keep serving, every
     /// subsequent user write completes as `DriveReadOnly`.
@@ -337,17 +377,9 @@ impl Ssd {
             channels,
             controller: EraseController::new(scheme),
             next_write_die: 0,
-            gc_invocations: 0,
-            gc_page_moves: 0,
-            erase_suspensions: 0,
-            user_pages_written: 0,
+            counters: DriveCounters::default(),
             next_request_id: 0,
             ecc,
-            program_failures: 0,
-            erase_failures: 0,
-            media_errors: 0,
-            read_retry_histogram: [0; 6],
-            writes_rejected: 0,
             read_only: false,
             read_only_user_pages_written: 0,
         };
@@ -480,7 +512,7 @@ impl Ssd {
 
     /// Number of user pages written (including preconditioning fills).
     pub fn user_pages_written(&self) -> u64 {
-        self.user_pages_written
+        self.counters.user_pages_written
     }
 
     /// Access to the drive-wide erase statistics.
@@ -519,7 +551,7 @@ impl Ssd {
                 // and the write remaps to the next frontier slot. GC
                 // reclaims the dead page when the block is collected.
                 die.ftl.block_mut(block).mark_invalid(page);
-                self.program_failures += 1;
+                self.counters.program_failures += 1;
                 continue;
             }
             break (block, page);
@@ -535,7 +567,7 @@ impl Ssd {
             page,
         };
         die.p2l[(block * pages_per_block + page) as usize] = lpn;
-        self.user_pages_written += 1;
+        self.counters.user_pages_written += 1;
         // Invalidate the previous location of this logical page.
         let previous = self.mapping.update(lpn, ppa);
         if let Some(old) = previous {
@@ -597,7 +629,7 @@ impl Ssd {
             return None;
         }
         die.gc_in_progress = true;
-        self.gc_invocations += 1;
+        self.counters.gc_invocations += 1;
         die.ftl.start_collecting(victim);
         let mut page_moves = 0;
         for page in die.ftl.block(victim).valid_page_indices() {
@@ -710,10 +742,10 @@ impl Ssd {
     /// the spare budget and tripped the read-only transition.
     pub(crate) fn retire_block(&mut self, die_idx: usize, block: u32) -> bool {
         self.dies[die_idx].ftl.retire_block(block);
-        self.erase_failures += 1;
+        self.counters.erase_failures += 1;
         if !self.read_only && self.retired_blocks() >= self.config.spare_budget() {
             self.read_only = true;
-            self.read_only_user_pages_written = self.user_pages_written;
+            self.read_only_user_pages_written = self.counters.user_pages_written;
             return true;
         }
         false
@@ -747,6 +779,8 @@ mod tests {
     use super::*;
     use aero_core::SchemeKind;
     use aero_nand::geometry::BlockAddr;
+    use aero_nand::FaultConfig;
+    use aero_workloads::request::{IoOp, IoRequest};
     use aero_workloads::SyntheticWorkload;
 
     fn workload(reads: f64, count: usize) -> Trace {
@@ -800,7 +834,42 @@ mod tests {
             ssd.erase_stats().operations > 0,
             "GC must erase victim blocks"
         );
-        assert!(report.write_amplification(3_000) >= 1.0);
+        assert!(report.write_amplification() >= 1.0);
+    }
+
+    /// WAF counts pages, not requests: on 16 KiB pages every 64 KiB write
+    /// programs four user pages, and the report carries the run-local
+    /// user-page count the drive's lifetime counter moved by.
+    #[test]
+    fn write_amplification_counts_pages_not_requests() {
+        let config = SsdConfig::small_test(SchemeKind::Baseline);
+        assert_eq!(config.family.geometry.page_size_bytes, 16 * 1024);
+        let slots = config.logical_pages() / 4;
+        let mut ssd = Ssd::new(config);
+        ssd.fill_fraction(0.7);
+        let pages_before = ssd.user_pages_written();
+        let trace = Trace::new(
+            (0..1_500u64)
+                .map(|i| IoRequest {
+                    arrival_ns: i * 100_000,
+                    op: IoOp::Write,
+                    // 4 pages × 32 sectors, aligned to a 64 KiB slot.
+                    lba: (i * 7_919 % slots) * 128,
+                    size_bytes: 64 * 1024,
+                })
+                .collect(),
+        );
+        let report = ssd.run_trace(&trace);
+        assert_eq!(report.writes_completed, 1_500);
+        assert_eq!(
+            report.user_pages_written,
+            ssd.user_pages_written() - pages_before
+        );
+        assert_eq!(report.user_pages_written, 4 * report.writes_completed);
+        assert!(report.gc_page_moves > 0, "the run must exercise GC");
+        let waf = (report.user_pages_written + report.gc_page_moves) as f64
+            / report.user_pages_written as f64;
+        assert_eq!(report.write_amplification(), waf);
     }
 
     #[test]
@@ -985,55 +1054,107 @@ mod tests {
         assert!(transfers2 < transfers);
     }
 
-    /// `RunReport.erase_stats` covers only the erases of that replay even
-    /// when the drive already performed erases in earlier runs.
+    /// The run-local view of a report's counters, one field per
+    /// [`DriveCounters`] field.
+    fn run_counters(r: &RunReport) -> DriveCounters {
+        DriveCounters {
+            gc_invocations: r.gc_invocations,
+            gc_page_moves: r.gc_page_moves,
+            erase_suspensions: r.erase_suspensions,
+            user_pages_written: r.user_pages_written,
+            program_failures: r.health.program_failures,
+            erase_failures: r.health.erase_failures,
+            media_errors: r.health.media_errors,
+            writes_rejected: r.health.writes_rejected_read_only,
+            read_retry_histogram: r.health.read_retry_histogram,
+        }
+    }
+
+    /// `RunReport.erase_stats` and every [`DriveCounters`] field cover only
+    /// the replay that produced the report, even when the drive already
+    /// ran earlier: two back-to-back runs add up to the drive's lifetime
+    /// delta. The faulted drive, with a spare budget its second run
+    /// exhausts, drives every health counter and retry bucket.
     #[test]
     fn erase_stats_are_run_local() {
-        let config = SsdConfig::small_test(SchemeKind::Baseline);
-        let mut ssd = Ssd::new(config);
-        ssd.fill_fraction(0.7);
-        let trace = workload(0.0, 2_000);
-        let r1 = ssd.run_trace(&trace);
-        let after1 = ssd.erase_stats().clone();
-        assert!(r1.erase_stats.operations > 0, "writes must trigger erases");
-        assert_eq!(r1.erase_stats.loops, after1.loops);
-        let r2 = ssd.run_trace(&trace);
-        let after2 = ssd.erase_stats().clone();
-        assert!(r2.erase_stats.operations > 0);
-        assert_eq!(
-            r2.erase_stats.operations,
-            after2.operations - after1.operations
-        );
-        assert_eq!(r2.erase_stats.loops, after2.loops - after1.loops);
-        assert_eq!(
-            r2.erase_stats.total_latency,
-            after2.total_latency.saturating_sub(after1.total_latency)
-        );
-        assert!(
-            (r2.erase_stats.total_stress - (after2.total_stress - after1.total_stress)).abs()
-                < 1e-9
-        );
-        assert_eq!(
-            r2.erase_stats.complete_erases,
-            after2.complete_erases - after1.complete_erases
-        );
-        for bucket in 0..9 {
+        let plain = SsdConfig::small_test(SchemeKind::Baseline);
+        let faulted = plain
+            .clone()
+            .with_faults(FaultConfig {
+                program_fail_per_million: 20_000,
+                erase_fail_per_million: 60_000,
+                grown_bad_per_million: 0,
+                read_fault_per_million: 300_000,
+            })
+            .with_spare_blocks(2);
+        for (config, pec, reads) in [(plain, 0, 0.0), (faulted, 2_500, 0.5)] {
+            let faults = config.fault.any_enabled();
+            let mut ssd = Ssd::new(config);
+            ssd.precondition_wear(pec);
+            ssd.fill_fraction(0.7);
+            let before = ssd.counters;
+            let trace = workload(reads, 2_000);
+            let r1 = ssd.run_trace(&trace);
+            let after1 = ssd.erase_stats().clone();
+            assert!(r1.erase_stats.operations > 0, "writes must trigger erases");
+            assert_eq!(r1.erase_stats.loops, after1.loops);
+            let r2 = ssd.run_trace(&trace);
+            let after2 = ssd.erase_stats().clone();
+            assert!(r2.erase_stats.operations > 0);
             assert_eq!(
-                r2.erase_stats.loop_histogram[bucket],
-                after2.loop_histogram[bucket] - after1.loop_histogram[bucket]
+                r2.erase_stats.operations,
+                after2.operations - after1.operations
             );
+            assert_eq!(r2.erase_stats.loops, after2.loops - after1.loops);
+            assert_eq!(
+                r2.erase_stats.total_latency,
+                after2.total_latency.saturating_sub(after1.total_latency)
+            );
+            assert!(
+                (r2.erase_stats.total_stress - (after2.total_stress - after1.total_stress)).abs()
+                    < 1e-9
+            );
+            assert_eq!(
+                r2.erase_stats.complete_erases,
+                after2.complete_erases - after1.complete_erases
+            );
+            for bucket in 0..9 {
+                assert_eq!(
+                    r2.erase_stats.loop_histogram[bucket],
+                    after2.loop_histogram[bucket] - after1.loop_histogram[bucket]
+                );
+            }
+            assert!(
+                r2.erase_stats.operations < after2.operations,
+                "the second run must not re-report the first run's erases"
+            );
+            // Every drive counter is run-local too: r1 + r2 = lifetime.
+            let lifetime = ssd.counters.diff(&before);
+            assert_eq!(lifetime.diff(&run_counters(&r1)), run_counters(&r2));
+            if faults {
+                assert!(
+                    !r1.health.read_only && r2.health.read_only,
+                    "the second run must exhaust the spares"
+                );
+                for (name, value) in [
+                    ("gc_invocations", lifetime.gc_invocations),
+                    ("gc_page_moves", lifetime.gc_page_moves),
+                    ("erase_suspensions", lifetime.erase_suspensions),
+                    ("user_pages_written", lifetime.user_pages_written),
+                    ("program_failures", lifetime.program_failures),
+                    ("erase_failures", lifetime.erase_failures),
+                    ("media_errors", lifetime.media_errors),
+                    ("writes_rejected", lifetime.writes_rejected),
+                ] {
+                    assert!(value > 0, "the faulted runs must exercise {name}");
+                }
+                assert!(
+                    lifetime.read_retry_histogram.iter().all(|&b| b > 0),
+                    "every retry bucket must fire: {:?}",
+                    lifetime.read_retry_histogram
+                );
+            }
         }
-        assert!(
-            r2.erase_stats.operations < after2.operations,
-            "the second run must not re-report the first run's erases"
-        );
-        // GC and suspension counters are run-local too.
-        assert_eq!(r1.gc_invocations + r2.gc_invocations, ssd.gc_invocations);
-        assert_eq!(r1.gc_page_moves + r2.gc_page_moves, ssd.gc_page_moves);
-        assert_eq!(
-            r1.erase_suspensions + r2.erase_suspensions,
-            ssd.erase_suspensions
-        );
     }
 
     /// `fill_fraction` retries the next die instead of silently dropping

@@ -7,13 +7,11 @@
 //! values stored here are the *original* ones and the acceleration is applied
 //! when building the generator, mirroring the paper's methodology.
 
-use serde::{Deserialize, Serialize};
-
 use crate::request::Trace;
 use crate::synth::SyntheticWorkload;
 
 /// The benchmark suite a workload came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// Alibaba Cloud block traces.
     Alibaba,
@@ -22,7 +20,7 @@ pub enum Suite {
 }
 
 /// Identifiers of the eleven evaluated workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum WorkloadId {
     AliA,
@@ -101,7 +99,7 @@ impl WorkloadId {
 }
 
 /// Published characteristics of one evaluated workload (Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// Workload identifier.
     pub id: WorkloadId,

@@ -28,7 +28,6 @@ use aero_core::SchemeKind;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::request::IoRequest;
 use crate::source::WorkloadSource;
@@ -47,7 +46,7 @@ pub const WEAR_LEVELS: [u32; 5] = [0, 0, 500, 2500, 4500];
 
 /// One workload phase within a session: a synthetic workload configuration
 /// plus how many of its requests to issue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhasePlan {
     /// The workload configuration driving this phase.
     pub workload: SyntheticWorkload,
@@ -60,7 +59,7 @@ pub struct PhasePlan {
 /// One simulation session: an ordered sequence of phases replayed
 /// back-to-back on a continuing timeline (a low-inter-arrival phase after
 /// a calm one is a burst), plus an optional mid-run snapshot cadence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionPlan {
     /// The phases, in issue order.
     pub phases: Vec<PhasePlan>,
@@ -101,7 +100,7 @@ impl SessionPlan {
 /// Like the rest of the scenario this is a pure *description*; the
 /// execution (crash, snapshot, torn-write corruption, restore, audit)
 /// lives in `aero_ssd::scenario`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrashPlan {
     /// Index of the session the power cut interrupts.
     pub session: usize,
@@ -123,7 +122,7 @@ pub struct CrashPlan {
 /// applies it to the drive configuration and verifies the fault path
 /// (retirement, page rescue, media-error completions, read-only
 /// transitions) under the auditor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Program-status failure rate, per million page programs.
     pub program_fail_per_million: u32,
@@ -146,7 +145,7 @@ pub struct FaultPlan {
 
 /// One tenant of a multi-tenant plan: its host-interface queue knobs plus
 /// the synthetic workload feeding its submission queue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantPlan {
     /// Weighted-share arbitration weight (≥ 1).
     pub weight: u32,
@@ -171,7 +170,7 @@ pub struct TenantPlan {
 ///
 /// Like the session plans this is a pure description; `aero_ssd::scenario`
 /// builds the `HostInterface` and runs it under the auditor/oracle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiTenantPlan {
     /// The arbitration policy merging the tenant queues.
     pub arbiter: ArbiterKind,
@@ -190,7 +189,7 @@ impl MultiTenantPlan {
 
 /// A complete seeded fuzz scenario: drive knobs plus back-to-back session
 /// plans. Produced by [`scenario`]; executed by `aero_ssd::scenario`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FuzzScenario {
     /// The seed the scenario was derived from (also used as the drive
     /// seed).

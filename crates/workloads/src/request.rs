@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The direction of a block-I/O request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoOp {
     /// A read of previously written data.
     Read,
@@ -23,7 +21,7 @@ impl fmt::Display for IoOp {
 }
 
 /// One block-I/O request as issued by the host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoRequest {
     /// Arrival time in nanoseconds from the start of the trace.
     pub arrival_ns: u64,
@@ -70,7 +68,7 @@ impl IoRequest {
 }
 
 /// A sequence of requests ordered by arrival time.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
     requests: Vec<IoRequest>,
 }

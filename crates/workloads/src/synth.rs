@@ -16,13 +16,12 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::request::{IoOp, IoRequest, Trace};
 use crate::source::WorkloadSource;
 
 /// Configuration of a synthetic workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticWorkload {
     /// Fraction of requests that are reads, in [0, 1].
     pub read_ratio: f64,

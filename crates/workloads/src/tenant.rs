@@ -13,13 +13,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies one tenant (one submission queue) on a host interface.
 ///
 /// Ids are dense indices handed out in tenant-registration order, so they
 /// double as indices into per-tenant report slices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u16);
 
 impl fmt::Display for TenantId {
@@ -32,7 +30,7 @@ impl fmt::Display for TenantId {
 ///
 /// All three derive their decisions purely from simulated time and queue
 /// state, so arbitration is deterministic at any thread count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ArbiterKind {
     /// Cycle through the non-empty queues in tenant order.
     RoundRobin,
@@ -72,7 +70,7 @@ impl fmt::Display for ArbiterKind {
 
 /// What a submission queue does with an arrival when it is already at its
 /// configured depth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueueFullPolicy {
     /// The arrival stays in its source until a queue credit frees up; it is
     /// counted as *deferred* when it finally enqueues later than it
