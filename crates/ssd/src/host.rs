@@ -464,6 +464,8 @@ impl<'w> HostInterface<'w> {
         // but the host has not yet retired, ordered by completion time.
         let mut completions: BinaryHeap<Reverse<(u64, u16)>> = BinaryHeap::new();
         let mut drained: Vec<(u64, u16)> = Vec::new();
+        // The arbiter's view of every queue, refilled in place each round.
+        let mut views: Vec<QueueView> = Vec::with_capacity(tenant_count);
         let mut outstanding_total = 0usize;
 
         loop {
@@ -530,12 +532,13 @@ impl<'w> HostInterface<'w> {
                 let mut progressed = false;
                 // Arbitrate pending requests into free device slots.
                 while outstanding_total < self.device_slots {
-                    let views: Vec<QueueView> = self
-                        .queues
-                        .iter()
-                        .enumerate()
-                        .map(|(i, q)| q.view(TenantId(i as u16)))
-                        .collect();
+                    views.clear();
+                    views.extend(
+                        self.queues
+                            .iter()
+                            .enumerate()
+                            .map(|(i, q)| q.view(TenantId(i as u16))),
+                    );
                     let Some(pick) = self.arbiter.pick(t, &views) else {
                         break;
                     };

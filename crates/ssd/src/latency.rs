@@ -1,13 +1,21 @@
-//! Latency recording and tail-percentile computation.
+//! Latency recording and exact tail percentiles.
 //!
 //! [`LatencyRecorder`] is written to on the simulator's hot path (one
-//! `record` per completed request) and read at report time. Recording is an
-//! O(1) append that also maintains a running sum and maximum, so [`mean`]
-//! and [`max`] never rescan the samples and merging recorders at a sweep
-//! join is a cheap concatenation. Percentile queries sort lazily into an
-//! interior cache, which keeps the read-side API on `&self` — reports and
-//! comparisons no longer need to clone whole sample vectors just to rank
-//! them.
+//! `record` per completed request) and read at report time. It stores each
+//! sample once. A sample below 2³² ns (≈4.29 s, which covers every device
+//! latency) takes 4 bytes in a `u32` run; a longer one, such as a tenant's
+//! end-to-end latency under heavy queueing, takes 8 bytes in a `u64` run.
+//! Every `u64` sample ranks after every `u32` sample, so a percentile
+//! indexes one run or the other and never both.
+//!
+//! Each run is a sorted prefix followed by the samples recorded since the
+//! last query. A percentile query sorts that tail in place and merges it
+//! into the prefix, so a periodic poll costs O(k log k + n) for k new
+//! samples, and the only scratch it allocates is a copy of the shorter of
+//! the two pieces it merges. Recording also keeps a running sum and
+//! maximum, so [`mean`] and [`max`] never rescan the samples and a merge at
+//! a sweep join is a plain append. Recording order is not kept: two
+//! recorders are equal when they hold the same multiset of samples.
 //!
 //! [`mean`]: LatencyRecorder::mean
 //! [`max`]: LatencyRecorder::max
@@ -47,41 +55,96 @@ impl TailLatencies {
 }
 
 /// Records per-request latencies (in nanoseconds) and computes percentiles.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct LatencyRecorder {
-    /// Samples in recording order.
-    samples: Vec<u64>,
+    /// Samples below 2³² ns.
+    short: RefCell<Run<u32>>,
+    /// Samples of 2³² ns or more; each ranks after every `short` sample.
+    long: RefCell<Run<u64>>,
     /// Running sum of all samples, for O(1) means.
     sum_ns: u64,
     /// Running maximum, for O(1) max queries.
     max_ns: u64,
-    /// Lazily maintained sorted copy of the first `cache.len()` samples.
-    /// Samples are only ever appended, never removed, so the cache is
-    /// always a sorted multiset of a prefix of `samples`; a query sorts
-    /// just the new tail and merges it in, instead of re-sorting the whole
-    /// vector (which made periodic snapshot percentiles O(n log n) each).
-    /// Interior mutability keeps percentile queries on `&self`; `RefCell`
-    /// makes the recorder `!Sync`, so the compiler still rules out
-    /// cross-thread races on the cache.
-    sorted_cache: RefCell<Vec<u64>>,
 }
 
-impl Clone for LatencyRecorder {
-    fn clone(&self) -> Self {
-        LatencyRecorder {
-            samples: self.samples.clone(),
-            sum_ns: self.sum_ns,
-            max_ns: self.max_ns,
-            sorted_cache: RefCell::new(self.sorted_cache.borrow().clone()),
+/// One run of samples: `values[..sorted]` is in ascending order, and the
+/// rest are the samples recorded (or merged in) since the last sort.
+/// Interior mutability lets percentile queries sort on `&self`; `RefCell`
+/// keeps the recorder `!Sync`, so the compiler still rules out
+/// cross-thread races on the in-place sort.
+#[derive(Debug, Clone, Default)]
+struct Run<T> {
+    values: Vec<T>,
+    sorted: usize,
+}
+
+impl<T: Copy + Ord> Run<T> {
+    /// Sorts the unsorted tail in place and merges it into the sorted
+    /// prefix, then returns the fully sorted run. A no-op when nothing was
+    /// recorded since the last call.
+    fn sorted(&mut self) -> &[T] {
+        let mid = self.sorted;
+        let values = &mut self.values[..];
+        if mid < values.len() {
+            values[mid..].sort_unstable();
+            if mid > 0 && values[mid - 1] > values[mid] {
+                merge_sorted_halves(values, mid);
+            }
+            self.sorted = values.len();
+        }
+        &self.values
+    }
+}
+
+/// Merges the sorted halves `v[..mid]` and `v[mid..]` in place. Only the
+/// shorter half is copied out; the merge then fills the slice from the end
+/// the copied half came from, and the write cursor never overtakes the
+/// unread part of the half that stayed in place.
+fn merge_sorted_halves<T: Copy + Ord>(v: &mut [T], mid: usize) {
+    let len = v.len();
+    if len - mid <= mid {
+        // Copy the tail out; fill from the top. Writes land at `i + j - 1`,
+        // at or above the unread prefix `v[..i]` while `j > 0`.
+        let tail = v[mid..].to_vec();
+        let (mut i, mut j) = (mid, tail.len());
+        while j > 0 {
+            if i > 0 && v[i - 1] > tail[j - 1] {
+                v[i + j - 1] = v[i - 1];
+                i -= 1;
+            } else {
+                v[i + j - 1] = tail[j - 1];
+                j -= 1;
+            }
+        }
+    } else {
+        // Copy the prefix out; fill from the bottom. Writes land at
+        // `i + j - mid`, below the unread tail `v[j..]` while `i < mid`.
+        let head = v[..mid].to_vec();
+        let (mut i, mut j) = (0, mid);
+        while i < mid {
+            if j < len && v[j] < head[i] {
+                v[i + j - mid] = v[j];
+                j += 1;
+            } else {
+                v[i + j - mid] = head[i];
+                i += 1;
+            }
         }
     }
 }
 
-/// Equality is over the recorded samples (and therefore the derived sum and
-/// max); the interior sort cache is invisible.
+/// Equality is over the multiset of recorded samples (and therefore the
+/// derived sum and max); recording order and how far each run is sorted
+/// are invisible.
 impl PartialEq for LatencyRecorder {
     fn eq(&self, other: &Self) -> bool {
-        self.samples == other.samples
+        // Sorting first (a no-op when already sorted) makes both sides
+        // canonical, so the comparison needs only shared borrows and works
+        // when `self` and `other` are the same recorder.
+        self.warm_percentile_cache();
+        other.warm_percentile_cache();
+        self.short.borrow().values == other.short.borrow().values
+            && self.long.borrow().values == other.long.borrow().values
     }
 }
 
@@ -96,89 +159,57 @@ impl LatencyRecorder {
     /// Records one latency sample.
     #[inline]
     pub fn record(&mut self, latency_ns: u64) {
-        self.samples.push(latency_ns);
+        match u32::try_from(latency_ns) {
+            Ok(short) => self.short.get_mut().values.push(short),
+            Err(_) => self.long.get_mut().values.push(latency_ns),
+        }
         self.sum_ns += latency_ns;
         self.max_ns = self.max_ns.max(latency_ns);
     }
 
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.short.borrow().values.len() + self.long.borrow().values.len()
     }
 
     /// True if no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len() == 0
     }
 
-    /// Brings the sorted cache up to date: sorts the samples recorded since
-    /// the cache was last built and merges them into the sorted prefix
-    /// (two-pointer merge), leaving the cache a sorted copy of every
-    /// sample. O(k log k + n) for k new samples instead of the former
-    /// O(n log n) full re-sort per stale query.
-    fn sync_sorted_cache(&self) {
-        let mut cache = self.sorted_cache.borrow_mut();
-        let prefix = cache.len();
-        let total = self.samples.len();
-        if prefix == total {
-            return;
-        }
-        // Sort only the new tail into a scratch buffer (O(window), not
-        // O(history)), then merge it into the sorted prefix backward: the
-        // write cursor always sits above the unread prefix cursor
-        // (`k - 1 = (i - 1) + j ≥ i` while `j > 0`), so the prefix merges
-        // in place and the only allocation is the tail scratch.
-        let mut tail = self.samples[prefix..].to_vec();
-        tail.sort_unstable();
-        if prefix == 0 {
-            *cache = tail;
-            return;
-        }
-        cache.resize(total, 0);
-        let (mut i, mut j, mut k) = (prefix, tail.len(), total);
-        while i > 0 && j > 0 {
-            if cache[i - 1] > tail[j - 1] {
-                cache[k - 1] = cache[i - 1];
-                i -= 1;
-            } else {
-                cache[k - 1] = tail[j - 1];
-                j -= 1;
-            }
-            k -= 1;
-        }
-        // A drained prefix leaves the smallest tail elements to place at the
-        // bottom; a drained tail leaves the prefix remainder already in
-        // position.
-        cache[..j].copy_from_slice(&tail[..j]);
-    }
-
-    /// Pre-builds the sorted percentile cache (a no-op when already
-    /// current). Called before cloning a recorder whose clone will be
-    /// queried — e.g. [`crate::session::Simulation::snapshot`] — so the
-    /// clone inherits a warm cache instead of re-ranking from scratch.
+    /// Sorts every sample recorded since the last query into place (a
+    /// no-op when already sorted). Called before cloning a recorder whose
+    /// clone will be queried — e.g. [`crate::session::Simulation::snapshot`]
+    /// — so the clone starts sorted instead of ranking from scratch.
     pub fn warm_percentile_cache(&self) {
-        self.sync_sorted_cache();
+        self.short.borrow_mut().sorted();
+        self.long.borrow_mut().sorted();
     }
 
     /// The `p`-th percentile (0 < p ≤ 100) using nearest-rank interpolation.
     /// Returns 0 for an empty recorder.
     pub fn percentile(&self, p: f64) -> u64 {
         assert!(p > 0.0 && p <= 100.0, "percentile must be in (0, 100]");
-        if self.samples.is_empty() {
+        let n = self.len();
+        if n == 0 {
             return 0;
         }
-        self.sync_sorted_cache();
-        let cache = self.sorted_cache.borrow();
-        let rank = ((p / 100.0) * cache.len() as f64).ceil() as usize;
-        cache[rank.clamp(1, cache.len()) - 1]
+        let rank = ((p / 100.0) * n as f64).ceil() as usize;
+        let index = rank.clamp(1, n) - 1;
+        let shorts = self.short.borrow().values.len();
+        if index < shorts {
+            u64::from(self.short.borrow_mut().sorted()[index])
+        } else {
+            self.long.borrow_mut().sorted()[index - shorts]
+        }
     }
 
     /// Mean latency in nanoseconds (0 for an empty recorder).
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        self.sum_ns as f64 / self.samples.len() as f64
+        self.sum_ns as f64 / self.len() as f64
     }
 
     /// Maximum latency observed (0 for an empty recorder).
@@ -200,7 +231,7 @@ impl LatencyRecorder {
     /// The p99 / p99.9 / p99.99 tails in one call. Zero for an empty
     /// recorder; saturating to the maximum when samples are scarce.
     pub fn tails(&self) -> TailLatencies {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return TailLatencies::default();
         }
         TailLatencies {
@@ -210,9 +241,12 @@ impl LatencyRecorder {
         }
     }
 
-    /// Merges another recorder's samples into this one.
+    /// Merges another recorder's samples into this one. They join the
+    /// unsorted tail of each run; the next query sorts them in.
     pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.samples.extend_from_slice(&other.samples);
+        let (short, long) = (self.short.get_mut(), self.long.get_mut());
+        short.values.extend_from_slice(&other.short.borrow().values);
+        long.values.extend_from_slice(&other.long.borrow().values);
         self.sum_ns += other.sum_ns;
         self.max_ns = self.max_ns.max(other.max_ns);
     }
@@ -384,5 +418,130 @@ mod tests {
         let mut c = b.clone();
         c.record(1);
         assert_ne!(a, c);
+    }
+
+    /// Advances a xorshift64 state and returns it.
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// The in-place merge agrees with a full sort at every split point,
+    /// in both copy directions, with duplicates straddling the split.
+    #[test]
+    fn in_place_merge_matches_a_sort_at_every_split() {
+        let mut x = 0x2545_F491_u64;
+        for len in 0..40 {
+            let values: Vec<u32> = (0..len).map(|_| (xorshift(&mut x) % 12) as u32).collect();
+            let mut expected = values.clone();
+            expected.sort_unstable();
+            for mid in 0..=len {
+                let mut v = values.clone();
+                v[..mid].sort_unstable();
+                v[mid..].sort_unstable();
+                merge_sorted_halves(&mut v, mid);
+                assert_eq!(v, expected, "len {len}, split at {mid}");
+            }
+        }
+    }
+
+    /// Samples of 2³² ns or more go to the `u64` run and rank after every
+    /// shorter one; `u32::MAX` stays in the `u32` run and 2³² does not.
+    #[test]
+    fn samples_from_2_32_ns_up_rank_after_the_rest() {
+        let boundary = 1u64 << 32;
+        let values = [
+            boundary + 5,
+            7,
+            u64::from(u32::MAX),
+            boundary,
+            3,
+            5_700_000_000,
+            u64::from(u32::MAX) - 1,
+            boundary,
+        ];
+        let mut r = LatencyRecorder::new();
+        for v in values {
+            r.record(v);
+        }
+        assert_eq!(r.short.borrow().values.len(), 4);
+        assert_eq!(r.long.borrow().values.len(), 4);
+        assert_eq!(r.len(), 8);
+        assert_eq!(r.max(), 5_700_000_000);
+        assert_eq!(r.mean(), values.iter().sum::<u64>() as f64 / 8.0);
+        let mut sorted = values.to_vec();
+        sorted.sort_unstable();
+        for (k, &v) in sorted.iter().enumerate() {
+            // Eight samples: p = 12.5·(k + 1) is exactly rank k + 1.
+            assert_eq!(r.percentile(12.5 * (k + 1) as f64), v, "rank {}", k + 1);
+        }
+    }
+
+    /// Each sample below 2³² ns is stored once, in 4 bytes: after 1,000,000
+    /// of them the `u32` run's buffer is the only storage that grew,
+    /// percentile queries sort it without growing it, and a clone holds
+    /// exactly 4 bytes per sample.
+    #[test]
+    fn a_sample_below_2_32_ns_is_stored_once_in_four_bytes() {
+        const N: usize = 1_000_000;
+        let storage = |r: &LatencyRecorder| {
+            let (short, long) = (r.short.borrow(), r.long.borrow());
+            short.values.capacity() * std::mem::size_of::<u32>()
+                + long.values.capacity() * std::mem::size_of::<u64>()
+        };
+        let mut r = LatencyRecorder::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        for i in 0..N {
+            r.record(xorshift(&mut x) % (1 << 32));
+            if i % 100_000 == 99_999 {
+                let _ = r.percentile(99.9);
+            }
+        }
+        let recorded = storage(&r);
+        assert_eq!(r.long.borrow().values.capacity(), 0);
+        assert!(
+            (4 * N..8 * N).contains(&recorded),
+            "{recorded} bytes of samples for {N} samples"
+        );
+        r.warm_percentile_cache();
+        let _ = r.tails();
+        assert_eq!(storage(&r), recorded, "queries sort in place");
+        assert_eq!(
+            storage(&r.clone()),
+            4 * N,
+            "a clone holds 4 bytes per sample"
+        );
+    }
+
+    /// Equality compares sample multisets: recording order, merges and how
+    /// far each run is sorted are invisible, one extra sample is not.
+    #[test]
+    fn equality_is_over_the_sample_multiset() {
+        let values = [30u64, 10, 1 << 33, 20, 10, u64::from(u32::MAX), 1 << 33];
+        let mut forward = LatencyRecorder::new();
+        let mut backward = LatencyRecorder::new();
+        for &v in &values {
+            forward.record(v);
+        }
+        for &v in values.iter().rev() {
+            backward.record(v);
+        }
+        let _ = backward.percentile(50.0);
+        assert_eq!(forward, backward);
+        let alias = &forward;
+        assert!(alias.eq(&forward), "a recorder equals itself");
+        let (mut head, mut tail) = (LatencyRecorder::new(), LatencyRecorder::new());
+        for &v in &values[..3] {
+            head.record(v);
+        }
+        for &v in &values[3..] {
+            tail.record(v);
+        }
+        head.merge(&tail);
+        assert_eq!(head, forward);
+        backward.record(10);
+        assert_ne!(forward, backward);
     }
 }

@@ -827,15 +827,18 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
 
     /// Runs the session to completion and returns the final run-local
     /// report. Equivalent to stepping until [`Simulation::step`] returns
-    /// `false`, then taking a last [`Simulation::snapshot`] (but without
-    /// cloning the latency samples).
+    /// `false`, then taking a last [`Simulation::snapshot`], except that
+    /// the latency recorders (drive-wide and per tenant) are moved into the
+    /// report instead of cloned.
     pub fn run_to_end(mut self) -> RunReport {
         while self.step() {}
-        let read_latency = std::mem::take(&mut self.read_latency);
-        let write_latency = std::mem::take(&mut self.write_latency);
         let mut report = self.report_shell();
-        report.read_latency = read_latency;
-        report.write_latency = write_latency;
+        report.read_latency = std::mem::take(&mut self.read_latency);
+        report.write_latency = std::mem::take(&mut self.write_latency);
+        for (slice, accum) in report.tenants.iter_mut().zip(&mut self.tenant_stats) {
+            slice.latency = std::mem::take(&mut accum.latency);
+            slice.queue_delay = std::mem::take(&mut accum.queue_delay);
+        }
         report
     }
 
@@ -892,9 +895,11 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
     }
 
     /// Measures an interim run-local [`RunReport`] covering everything the
-    /// session has processed so far. Latency recorders are cloned;
-    /// erase statistics are diffed against the session-start baseline via
-    /// [`aero_core::EraseStats::diff`], exactly as the final report's are.
+    /// session has processed so far. Every latency recorder, drive-wide
+    /// and per tenant, is cloned (sorted first, so the clones start
+    /// sorted); erase statistics are diffed against the session-start
+    /// baseline via [`aero_core::EraseStats::diff`], exactly as the final
+    /// report's are.
     ///
     /// Completion accounting is **dispatch-time**, as everywhere in the
     /// simulator: a request counts as completed the moment its last page is
@@ -906,29 +911,33 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
     /// (micro- to milliseconds) the skew is negligible, but
     /// boundary-straddling requests are attributed to the earlier window.
     pub fn snapshot(&self) -> RunReport {
-        // Warm the percentile caches before cloning: the merge is
-        // incremental (only samples since the last snapshot get sorted), and
-        // the clones inherit the warm cache, so querying the snapshot's
-        // tails doesn't re-rank the full sample history every window.
+        // Sort before cloning: the sort is incremental (only samples since
+        // the last query move), and the clones inherit the sorted runs, so
+        // querying the snapshot's tails doesn't re-rank the full sample
+        // history every window.
         self.read_latency.warm_percentile_cache();
         self.write_latency.warm_percentile_cache();
-        for accum in &self.tenant_stats {
-            accum.latency.warm_percentile_cache();
-            accum.queue_delay.warm_percentile_cache();
-        }
         let mut report = self.report_shell();
         report.read_latency = self.read_latency.clone();
         report.write_latency = self.write_latency.clone();
+        for (slice, accum) in report.tenants.iter_mut().zip(&self.tenant_stats) {
+            accum.latency.warm_percentile_cache();
+            accum.queue_delay.warm_percentile_cache();
+            slice.latency = accum.latency.clone();
+            slice.queue_delay = accum.queue_delay.clone();
+        }
         report
     }
 
     /// [`Simulation::snapshot`] without the latency clones: everything in a
-    /// report except the latency recorders (left empty). Periodic telemetry
-    /// that only needs counters — completions, GC/erase activity, channel
-    /// and health stats — should use this with the borrowed
+    /// report except the latency recorders, which are left empty in the
+    /// drive-wide fields and in every tenant slice (tenant slices still
+    /// carry their completion counts). Periodic telemetry that only needs
+    /// counters — completions, GC/erase activity, channel and health stats
+    /// — should use this with the borrowed
     /// [`Simulation::read_latency`]/[`Simulation::write_latency`] recorders
-    /// for tails, so a snapshot window costs O(dies + channels) instead of
-    /// cloning the run's whole sample history.
+    /// for tails, so a snapshot window costs O(dies + channels + tenants)
+    /// instead of cloning the run's whole sample history.
     pub fn snapshot_shell(&self) -> RunReport {
         self.report_shell()
     }
@@ -946,7 +955,10 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
         &self.write_latency
     }
 
-    /// Everything in a report except the latency recorders.
+    /// Everything in a report except the latency recorders: the drive-wide
+    /// pair and each tenant slice's pair are left empty for
+    /// [`Simulation::snapshot`] to clone and [`Simulation::run_to_end`] to
+    /// move in.
     fn report_shell(&self) -> RunReport {
         let mut erase_stats = self.ssd.controller.stats().diff(&self.baseline_erase_stats);
         // `EraseStats::diff` cannot subtract maxima; the session tracked
@@ -989,24 +1001,17 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                 read_only: self.ssd.read_only,
                 read_only_since_ns: self.read_only_since_ns,
             },
-            // Session-side tenant slices: completion counts and latency
-            // recorders. Host-side counters (submitted/rejected/deferred,
-            // high-water marks) are filled in by the host interface, which
-            // owns the queues.
+            // Session-side tenant slices: completion counts only.
+            // Host-side counters (submitted/rejected/deferred, high-water
+            // marks) are filled in by the host interface, which owns the
+            // queues.
             tenants: self
                 .tenant_stats
                 .iter()
                 .map(|accum| TenantReport {
-                    name: String::new(),
                     reads_completed: accum.reads_completed,
                     writes_completed: accum.writes_completed,
-                    latency: accum.latency.clone(),
-                    queue_delay: accum.queue_delay.clone(),
-                    submitted: 0,
-                    rejected: 0,
-                    deferred: 0,
-                    queue_depth_high_water: 0,
-                    outstanding_high_water: 0,
+                    ..TenantReport::default()
                 })
                 .collect(),
         }
@@ -1835,6 +1840,52 @@ mod tests {
             final_report, reference,
             "snapshots must not perturb the simulation"
         );
+    }
+
+    /// Tenant recorders follow the drive-wide pair: `snapshot_shell`
+    /// leaves them empty (the slices keep their completion counts),
+    /// `snapshot` clones them in full, and `run_to_end` hands them over
+    /// with one sample per completed request.
+    #[test]
+    fn tenant_recorders_are_cloned_by_snapshot_and_moved_at_the_end() {
+        const QUEUED_NS: u64 = 3_000;
+        let trace = SyntheticWorkload::default_test().generate(600, 17);
+        let mut ssd = Ssd::new(SsdConfig::small_test(SchemeKind::Aero).with_seed(4));
+        ssd.fill_fraction(0.5);
+        let mut sim = ssd.session(IterSource::new(std::iter::empty()));
+        sim.enable_tenant_tracking(2);
+        for (i, request) in trace.iter().enumerate() {
+            let submit_ns = request.arrival_ns + QUEUED_NS;
+            while sim.next_event_at().is_some_and(|at| at < submit_ns) {
+                sim.step();
+            }
+            sim.admit_from_host(*request, (i % 2) as u16, submit_ns);
+            if i != 400 {
+                continue;
+            }
+            let shell = sim.snapshot_shell();
+            let full = sim.snapshot();
+            assert_eq!(shell.tenants.len(), 2);
+            for (slot, accum) in sim.tenant_stats.iter().enumerate() {
+                let (light, owned) = (&shell.tenants[slot], &full.tenants[slot]);
+                assert!(light.completed() > 0, "tenant {slot} has completions");
+                assert_eq!(light.completed(), owned.completed());
+                assert!(light.latency.is_empty() && light.queue_delay.is_empty());
+                assert_eq!(owned.latency, accum.latency);
+                assert_eq!(owned.queue_delay, accum.queue_delay);
+                assert_eq!(owned.latency.len() as u64, owned.completed());
+            }
+        }
+        let report = sim.run_to_end();
+        let mut completed = 0;
+        for slice in &report.tenants {
+            assert_eq!(slice.latency.len() as u64, slice.completed());
+            assert_eq!(slice.queue_delay.len() as u64, slice.completed());
+            assert_eq!(slice.queue_delay.max(), QUEUED_NS);
+            assert_eq!(slice.queue_delay.percentile(1.0), QUEUED_NS);
+            completed += slice.completed();
+        }
+        assert_eq!(completed, 600);
     }
 
     /// `step` processes exactly one event at a time and ends exactly when

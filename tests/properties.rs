@@ -180,6 +180,67 @@ proptest! {
         prop_assert_eq!(p100, max);
     }
 
+    /// The recorder agrees with a naive reference (every sample in a
+    /// `Vec<u64>`, sorted on demand) under random interleavings of
+    /// `record`, `percentile`, `merge`, `clone` and
+    /// `warm_percentile_cache`, with samples below, at and above the 2³² ns
+    /// split between its `u32` and `u64` runs. The same samples recorded
+    /// in reverse compare equal; one extra sample compares unequal.
+    #[test]
+    fn latency_recorder_matches_a_sorted_reference(
+        ops in proptest::collection::vec((0u8..10, any::<u64>(), 1u64..=1_000_000_000), 1..400),
+    ) {
+        let mut recorder = LatencyRecorder::new();
+        let mut reference: Vec<u64> = Vec::new();
+        let mut donor = LatencyRecorder::new();
+        let mut donor_reference: Vec<u64> = Vec::new();
+        for (op, bits, p_units) in ops {
+            let value = latency_near_the_split(bits);
+            match op {
+                0..=3 => {
+                    recorder.record(value);
+                    reference.push(value);
+                }
+                4 => {
+                    donor.record(value);
+                    donor_reference.push(value);
+                }
+                5 => {
+                    recorder.merge(&donor);
+                    reference.extend_from_slice(&donor_reference);
+                }
+                6 => recorder = recorder.clone(),
+                7 => recorder.warm_percentile_cache(),
+                op => {
+                    let p = if op == 8 {
+                        PERCENTILE_LADDER[(bits % 8) as usize]
+                    } else {
+                        p_units as f64 / 1e7
+                    };
+                    prop_assert_eq!(recorder.percentile(p), nearest_rank(&reference, p));
+                }
+            }
+        }
+        prop_assert_eq!(recorder.len(), reference.len());
+        prop_assert_eq!(recorder.max(), reference.iter().copied().max().unwrap_or(0));
+        let mean = if reference.is_empty() {
+            0.0
+        } else {
+            reference.iter().sum::<u64>() as f64 / reference.len() as f64
+        };
+        prop_assert_eq!(recorder.mean(), mean);
+        for p in PERCENTILE_LADDER {
+            prop_assert_eq!(recorder.percentile(p), nearest_rank(&reference, p));
+        }
+        let mut reversed = LatencyRecorder::new();
+        for &v in reference.iter().rev() {
+            reversed.record(v);
+        }
+        prop_assert_eq!(&reversed, &recorder);
+        reversed.record(latency_near_the_split(reference.len() as u64));
+        prop_assert_ne!(&reversed, &recorder);
+    }
+
     /// Micros arithmetic round-trips through milliseconds at 0.1 µs
     /// resolution.
     #[test]
@@ -302,4 +363,32 @@ proptest! {
         prop_assert_eq!(&tail_control, &tail_restored);
         prop_assert_eq!(control.snapshot_bytes(), restored.snapshot_bytes());
     }
+}
+
+/// The percentiles reports and digests ask for, plus the maximum.
+const PERCENTILE_LADDER: [f64; 8] = [10.0, 50.0, 90.0, 99.0, 99.9, 99.99, 99.9999, 100.0];
+
+/// A latency drawn from `bits`: within 16 ns below `u32::MAX` or above
+/// 2³², a device-scale value under 10 ms, or anything up to 20 s.
+fn latency_near_the_split(bits: u64) -> u64 {
+    let jitter = bits >> 60;
+    match bits % 4 {
+        0 => u64::from(u32::MAX) - jitter,
+        1 => (1 << 32) + jitter,
+        2 => (bits >> 8) % 10_000_000,
+        _ => (bits >> 8) % 20_000_000_000,
+    }
+}
+
+/// The nearest-rank `p`-th percentile of `samples` (0 when empty): the
+/// `k`-th smallest sample for the least `k` with `k / n ≥ p / 100`, with
+/// `p` taken to 10⁻⁷ of a percent.
+fn nearest_rank(samples: &[u64], p: f64) -> u64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let n = sorted.len() as u128;
+    let p_units = (p * 1e7).round() as u128;
+    (1..=n)
+        .find(|&k| k * 1_000_000_000 >= p_units * n)
+        .map_or(0, |k| sorted[k as usize - 1])
 }
