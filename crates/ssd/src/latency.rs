@@ -133,6 +133,17 @@ fn merge_sorted_halves<T: Copy + Ord>(v: &mut [T], mid: usize) {
     }
 }
 
+/// The 1-based nearest rank ⌈p·n/100⌉ of percentile `p` among `n ≥ 1`
+/// samples, in integers with `p` in units of 10⁻⁷ percent. The float
+/// product `(p / 100.0) * n` lands one rank high whenever p·n/100 is whole
+/// but `p / 100.0` rounds up (99.9 / 100 is 0.9990000000000001, so p99.9
+/// of 1,000 samples was rank 1,000 instead of 999).
+fn nearest_rank(p: f64, n: usize) -> usize {
+    let p_units = (p * 1e7).round() as u128;
+    let rank = (p_units * n as u128).div_ceil(1_000_000_000);
+    (rank as usize).clamp(1, n)
+}
+
 /// Equality is over the multiset of recorded samples (and therefore the
 /// derived sum and max); recording order and how far each run is sorted
 /// are invisible.
@@ -186,16 +197,16 @@ impl LatencyRecorder {
         self.long.borrow_mut().sorted();
     }
 
-    /// The `p`-th percentile (0 < p ≤ 100) using nearest-rank interpolation.
-    /// Returns 0 for an empty recorder.
+    /// The `p`-th percentile (0 < p ≤ 100) by nearest rank: the smallest
+    /// sample with at least `p`% of all samples at or below it, with `p`
+    /// taken to 10⁻⁷ of a percent. Returns 0 for an empty recorder.
     pub fn percentile(&self, p: f64) -> u64 {
         assert!(p > 0.0 && p <= 100.0, "percentile must be in (0, 100]");
         let n = self.len();
         if n == 0 {
             return 0;
         }
-        let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        let index = rank.clamp(1, n) - 1;
+        let index = nearest_rank(p, n) - 1;
         let shorts = self.short.borrow().values.len();
         if index < shorts {
             u64::from(self.short.borrow_mut().sorted()[index])
@@ -268,6 +279,37 @@ mod tests {
         assert_eq!(r.percentile(100.0), 1000);
         assert_eq!(r.max(), 1000);
         assert!((r.mean() - 500.5).abs() < 1e-9);
+    }
+
+    /// Ramps whose length is a multiple of 1,000 hit every ladder rank
+    /// exactly; p99.9 in particular is not pushed one rank high.
+    #[test]
+    fn ramp_percentiles_land_on_exact_ranks() {
+        let ladder = [10.0, 50.0, 90.0, 99.0, 99.9, 99.99, 99.9999, 100.0];
+        let cases: [(u64, [u64; 8]); 2] = [
+            (1_000, [100, 500, 900, 990, 999, 1_000, 1_000, 1_000]),
+            (
+                1_000_000,
+                [
+                    100_000, 500_000, 900_000, 990_000, 999_000, 999_900, 999_999, 1_000_000,
+                ],
+            ),
+        ];
+        for (n, expected) in cases {
+            let mut r = LatencyRecorder::new();
+            for i in 1..=n {
+                r.record(i);
+            }
+            for (p, want) in ladder.into_iter().zip(expected) {
+                assert_eq!(r.percentile(p), want, "p{p} of 1..={n}");
+            }
+        }
+        // p99.9 of 1..=n is the least k with k / n ≥ 999 / 1000, for every n.
+        let mut r = LatencyRecorder::new();
+        for n in 1..=5_000u64 {
+            r.record(n);
+            assert_eq!(r.percentile(99.9), (999 * n).div_ceil(1_000), "n = {n}");
+        }
     }
 
     #[test]
