@@ -2,20 +2,22 @@
 //!
 //! [`LatencyRecorder`] is written to on the simulator's hot path (one
 //! `record` per completed request) and read at report time. It stores each
-//! sample once. A sample below 2³² ns (≈4.29 s, which covers every device
-//! latency) takes 4 bytes in a `u32` run; a longer one, such as a tenant's
-//! end-to-end latency under heavy queueing, takes 8 bytes in a `u64` run.
+//! sample once. A sample below 2³² ns (≈4.29 s) takes 4 bytes in a `u32`
+//! run; a longer one, which only seconds of queueing produce (a tenant's
+//! end-to-end latency behind a noisy neighbour, say), takes 8 bytes in a
+//! `u64` run.
 //! Every `u64` sample ranks after every `u32` sample, so a percentile
 //! indexes one run or the other and never both.
 //!
 //! Each run is a sorted prefix followed by the samples recorded since the
 //! last query. A percentile query sorts that tail in place and merges it
-//! into the prefix, so a periodic poll costs O(k log k + n) for k new
-//! samples, and the only scratch it allocates is a copy of the shorter of
-//! the two pieces it merges. Recording also keeps a running sum and
-//! maximum, so [`mean`] and [`max`] never rescan the samples and a merge at
-//! a sweep join is a plain append. Recording order is not kept: two
-//! recorders are equal when they hold the same multiset of samples.
+//! into the prefix from the top, so a periodic poll costs O(k log k + n)
+//! for k new samples and its only scratch is a copy of the tail; a tail at
+//! least as long as the prefix is sorted together with it instead, so the
+//! scratch never exceeds half the run. Recording also keeps a running sum
+//! and maximum, so [`mean`] and [`max`] never rescan the samples and a
+//! merge at a sweep join is a plain append. Recording order is not kept:
+//! two recorders are equal when they hold the same multiset of samples.
 //!
 //! [`mean`]: LatencyRecorder::mean
 //! [`max`]: LatencyRecorder::max
@@ -67,7 +69,7 @@ pub struct LatencyRecorder {
     max_ns: u64,
 }
 
-/// One run of samples: `values[..sorted]` is in ascending order, and the
+/// One run of samples: `values[..sorted_len]` is in ascending order, and the
 /// rest are the samples recorded (or merged in) since the last sort.
 /// Interior mutability lets percentile queries sort on `&self`; `RefCell`
 /// keeps the recorder `!Sync`, so the compiler still rules out
@@ -75,61 +77,41 @@ pub struct LatencyRecorder {
 #[derive(Debug, Clone, Default)]
 struct Run<T> {
     values: Vec<T>,
-    sorted: usize,
+    sorted_len: usize,
 }
 
 impl<T: Copy + Ord> Run<T> {
-    /// Sorts the unsorted tail in place and merges it into the sorted
-    /// prefix, then returns the fully sorted run. A no-op when nothing was
-    /// recorded since the last call.
+    /// Sorts the samples recorded since the last call into place and
+    /// returns the whole run, sorted. A tail at least as long as the
+    /// sorted prefix is sorted together with it, with no scratch; a shorter
+    /// one is sorted alone, copied out and merged in from the top, so the
+    /// scratch never exceeds half the run.
     fn sorted(&mut self) -> &[T] {
-        let mid = self.sorted;
-        let values = &mut self.values[..];
-        if mid < values.len() {
-            values[mid..].sort_unstable();
-            if mid > 0 && values[mid - 1] > values[mid] {
-                merge_sorted_halves(values, mid);
-            }
-            self.sorted = values.len();
+        let (mid, len) = (self.sorted_len, self.values.len());
+        if mid == len {
+            return &self.values;
         }
+        let v = &mut self.values[..];
+        if len - mid >= mid {
+            v.sort_unstable();
+        } else {
+            v[mid..].sort_unstable();
+            let tail = v[mid..].to_vec();
+            // Writes land at `i + j - 1`, at or above the unread prefix
+            // `v[..i]` while `j > 0`.
+            let (mut i, mut j) = (mid, tail.len());
+            while j > 0 {
+                if i > 0 && v[i - 1] > tail[j - 1] {
+                    v[i + j - 1] = v[i - 1];
+                    i -= 1;
+                } else {
+                    v[i + j - 1] = tail[j - 1];
+                    j -= 1;
+                }
+            }
+        }
+        self.sorted_len = len;
         &self.values
-    }
-}
-
-/// Merges the sorted halves `v[..mid]` and `v[mid..]` in place. Only the
-/// shorter half is copied out; the merge then fills the slice from the end
-/// the copied half came from, and the write cursor never overtakes the
-/// unread part of the half that stayed in place.
-fn merge_sorted_halves<T: Copy + Ord>(v: &mut [T], mid: usize) {
-    let len = v.len();
-    if len - mid <= mid {
-        // Copy the tail out; fill from the top. Writes land at `i + j - 1`,
-        // at or above the unread prefix `v[..i]` while `j > 0`.
-        let tail = v[mid..].to_vec();
-        let (mut i, mut j) = (mid, tail.len());
-        while j > 0 {
-            if i > 0 && v[i - 1] > tail[j - 1] {
-                v[i + j - 1] = v[i - 1];
-                i -= 1;
-            } else {
-                v[i + j - 1] = tail[j - 1];
-                j -= 1;
-            }
-        }
-    } else {
-        // Copy the prefix out; fill from the bottom. Writes land at
-        // `i + j - mid`, below the unread tail `v[j..]` while `i < mid`.
-        let head = v[..mid].to_vec();
-        let (mut i, mut j) = (0, mid);
-        while i < mid {
-            if j < len && v[j] < head[i] {
-                v[i + j - mid] = v[j];
-                j += 1;
-            } else {
-                v[i + j - mid] = head[i];
-                i += 1;
-            }
-        }
     }
 }
 
@@ -470,21 +452,24 @@ mod tests {
         *x
     }
 
-    /// The in-place merge agrees with a full sort at every split point,
-    /// in both copy directions, with duplicates straddling the split.
+    /// Sorting a run agrees with a full sort for every length of sorted
+    /// prefix, on both sides of the whole-sort/merge choice, with
+    /// duplicates straddling the split.
     #[test]
-    fn in_place_merge_matches_a_sort_at_every_split() {
+    fn a_run_sorts_like_a_full_sort_at_every_split() {
         let mut x = 0x2545_F491_u64;
         for len in 0..40 {
             let values: Vec<u32> = (0..len).map(|_| (xorshift(&mut x) % 12) as u32).collect();
             let mut expected = values.clone();
             expected.sort_unstable();
             for mid in 0..=len {
-                let mut v = values.clone();
-                v[..mid].sort_unstable();
-                v[mid..].sort_unstable();
-                merge_sorted_halves(&mut v, mid);
-                assert_eq!(v, expected, "len {len}, split at {mid}");
+                let mut run = Run {
+                    values: values.clone(),
+                    sorted_len: mid,
+                };
+                run.values[..mid].sort_unstable();
+                assert_eq!(run.sorted(), expected, "len {len}, split at {mid}");
+                assert_eq!(run.sorted_len, len);
             }
         }
     }
