@@ -155,8 +155,8 @@ fn streamed_run(window_ns: u64, fault: Option<FaultConfig>) -> (f64, String, Run
         sim.run_until(target);
         // Counter-only snapshot plus borrowed recorders: a telemetry window
         // costs O(channels), not a clone of the run's sample history (the
-        // recorder's percentile cache merges incrementally, so the p99.9
-        // poll sorts only the window's new samples).
+        // recorder merges into its sorted prefix incrementally, so the
+        // p99.9 poll sorts only the window's new samples).
         let snap = sim.snapshot_shell();
         writeln!(
             csv,

@@ -373,10 +373,10 @@ mod tests {
         assert_eq!(r.max(), 900);
     }
 
-    /// The incremental tail-merge cache must produce byte-identical
-    /// percentiles to a freshly sorted recorder, no matter how records and
-    /// queries interleave (including duplicate values straddling the
-    /// prefix/tail boundary).
+    /// Incremental sorting into the sorted prefix must produce
+    /// byte-identical percentiles to a freshly sorted recorder, no matter
+    /// how records and queries interleave (including duplicate values
+    /// straddling the prefix/tail boundary).
     #[test]
     fn interleaved_records_and_queries_match_a_fresh_sort() {
         let mut incremental = LatencyRecorder::new();
@@ -400,7 +400,7 @@ mod tests {
                 assert_eq!(
                     incremental.percentile(p),
                     fresh.percentile(p),
-                    "round {round}, p{p}: tail-merge cache diverged from a full sort"
+                    "round {round}, p{p}: incremental sort diverged from a full sort"
                 );
             }
         }

@@ -33,10 +33,10 @@
 //! batch implementation exactly (counts, makespan, means, maxima, the full
 //! percentile ladder, erase/GC/channel accounting). One representational
 //! difference: latency samples are recorded when each request completes
-//! rather than in an end-of-run pass, so the *internal order* of the
-//! sample vectors is completion order, not trace order — invisible to
-//! every published statistic and to `RunReport` comparisons between
-//! session-era runs.
+//! rather than in an end-of-run pass, so they arrive in completion order,
+//! not trace order. Recorders keep no recording order (they compare as
+//! sample multisets), so this is invisible to every published statistic
+//! and to `RunReport` comparisons.
 //!
 //! ```
 //! use aero_core::SchemeKind;
@@ -915,16 +915,16 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
         // the last query move), and the clones inherit the sorted runs, so
         // querying the snapshot's tails doesn't re-rank the full sample
         // history every window.
-        self.read_latency.warm_percentile_cache();
-        self.write_latency.warm_percentile_cache();
+        let sorted_clone = |recorder: &LatencyRecorder| {
+            recorder.warm_percentile_cache();
+            recorder.clone()
+        };
         let mut report = self.report_shell();
-        report.read_latency = self.read_latency.clone();
-        report.write_latency = self.write_latency.clone();
+        report.read_latency = sorted_clone(&self.read_latency);
+        report.write_latency = sorted_clone(&self.write_latency);
         for (slice, accum) in report.tenants.iter_mut().zip(&self.tenant_stats) {
-            accum.latency.warm_percentile_cache();
-            accum.queue_delay.warm_percentile_cache();
-            slice.latency = accum.latency.clone();
-            slice.queue_delay = accum.queue_delay.clone();
+            slice.latency = sorted_clone(&accum.latency);
+            slice.queue_delay = sorted_clone(&accum.queue_delay);
         }
         report
     }
