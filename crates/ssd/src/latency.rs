@@ -5,9 +5,8 @@
 //! sample once. A sample below 2³² ns (≈4.29 s) takes 4 bytes in a `u32`
 //! run; a longer one, which only seconds of queueing produce (a tenant's
 //! end-to-end latency behind a noisy neighbour, say), takes 8 bytes in a
-//! `u64` run.
-//! Every `u64` sample ranks after every `u32` sample, so a percentile
-//! indexes one run or the other and never both.
+//! `u64` run. Every `u64` sample ranks after every `u32` sample, so a
+//! percentile indexes one run or the other and never both.
 //!
 //! Each run is a sorted prefix followed by the samples recorded since the
 //! last query. A percentile query sorts that tail in place and merges it
@@ -117,9 +116,9 @@ impl<T: Copy + Ord> Run<T> {
 
 /// The 1-based nearest rank ⌈p·n/100⌉ of percentile `p` among `n ≥ 1`
 /// samples, in integers with `p` in units of 10⁻⁷ percent. The float
-/// product `(p / 100.0) * n` lands one rank high whenever p·n/100 is whole
-/// but `p / 100.0` rounds up (99.9 / 100 is 0.9990000000000001, so p99.9
-/// of 1,000 samples was rank 1,000 instead of 999).
+/// product `(p / 100.0) * n` would land one rank high whenever p·n/100 is
+/// whole but `p / 100.0` rounds up: 99.9 / 100 is 0.9990000000000001, which
+/// would put p99.9 of 1,000 samples at rank 1,000 instead of 999.
 fn nearest_rank(p: f64, n: usize) -> usize {
     let p_units = (p * 1e7).round() as u128;
     let rank = (p_units * n as u128).div_ceil(1_000_000_000);
