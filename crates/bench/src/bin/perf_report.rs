@@ -154,9 +154,8 @@ fn streamed_run(window_ns: u64, fault: Option<FaultConfig>) -> (f64, String, Run
         let target = sim.now().saturating_add(window_ns);
         sim.run_until(target);
         // Counter-only snapshot plus borrowed recorders: a telemetry window
-        // costs O(channels), not a clone of the run's sample history (the
-        // recorder merges into its sorted prefix incrementally, so the
-        // p99.9 poll sorts only the window's new samples).
+        // costs O(channels) plus one O(buckets) histogram scan for the
+        // p99.9 poll, and copies no histogram.
         let snap = sim.snapshot_shell();
         writeln!(
             csv,

@@ -34,9 +34,9 @@
 //! percentile ladder, erase/GC/channel accounting). One representational
 //! difference: latency samples are recorded when each request completes
 //! rather than in an end-of-run pass, so they arrive in completion order,
-//! not trace order. Recorders keep no recording order (they compare as
-//! sample multisets), so this is invisible to every published statistic
-//! and to `RunReport` comparisons.
+//! not trace order. Recorders keep no recording order (they are
+//! histograms of counts), so this is invisible to every published
+//! statistic and to `RunReport` comparisons.
 //!
 //! ```
 //! use aero_core::SchemeKind;
@@ -896,10 +896,10 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
 
     /// Measures an interim run-local [`RunReport`] covering everything the
     /// session has processed so far. Every latency recorder, drive-wide
-    /// and per tenant, is cloned (sorted first, so the clones start
-    /// sorted); erase statistics are diffed against the session-start
-    /// baseline via [`aero_core::EraseStats::diff`], exactly as the final
-    /// report's are.
+    /// and per tenant, is cloned: a fixed-size histogram each, so the cost
+    /// does not grow with run length. Erase statistics are diffed against
+    /// the session-start baseline via [`aero_core::EraseStats::diff`],
+    /// exactly as the final report's are.
     ///
     /// Completion accounting is **dispatch-time**, as everywhere in the
     /// simulator: a request counts as completed the moment its last page is
@@ -911,20 +911,12 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
     /// (micro- to milliseconds) the skew is negligible, but
     /// boundary-straddling requests are attributed to the earlier window.
     pub fn snapshot(&self) -> RunReport {
-        // Sort before cloning: the sort is incremental (only samples since
-        // the last query move), and the clones inherit the sorted runs, so
-        // querying the snapshot's tails doesn't re-rank the full sample
-        // history every window.
-        let sorted_clone = |recorder: &LatencyRecorder| {
-            recorder.warm_percentile_cache();
-            recorder.clone()
-        };
         let mut report = self.report_shell();
-        report.read_latency = sorted_clone(&self.read_latency);
-        report.write_latency = sorted_clone(&self.write_latency);
+        report.read_latency = self.read_latency.clone();
+        report.write_latency = self.write_latency.clone();
         for (slice, accum) in report.tenants.iter_mut().zip(&self.tenant_stats) {
-            slice.latency = sorted_clone(&accum.latency);
-            slice.queue_delay = sorted_clone(&accum.queue_delay);
+            slice.latency = accum.latency.clone();
+            slice.queue_delay = accum.queue_delay.clone();
         }
         report
     }
@@ -937,14 +929,14 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
     /// — should use this with the borrowed
     /// [`Simulation::read_latency`]/[`Simulation::write_latency`] recorders
     /// for tails, so a snapshot window costs O(dies + channels + tenants)
-    /// instead of cloning the run's whole sample history.
+    /// and copies no histogram.
     pub fn snapshot_shell(&self) -> RunReport {
         self.report_shell()
     }
 
-    /// Borrowed view of the run's read-latency recorder. Percentile queries
-    /// on it are incremental (only samples since the last query get
-    /// sorted), so polling tails every window is cheap.
+    /// Borrowed view of the run's read-latency recorder. A percentile query
+    /// scans its histogram's buckets, O(buckets) however long the run, so
+    /// polling tails every window is cheap.
     pub fn read_latency(&self) -> &LatencyRecorder {
         &self.read_latency
     }

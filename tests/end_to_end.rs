@@ -5,9 +5,10 @@ use aero_core::scheme::BlockId;
 use aero_core::{Aero, BaselineIspe, SchemeKind};
 use aero_nand::cell::DataPattern;
 use aero_nand::{BlockAddr, Chip, ChipConfig, ChipFamily};
-use aero_ssd::{Ssd, SsdConfig};
+use aero_ssd::session::CompletedRequest;
+use aero_ssd::{LatencyRecorder, SimObserver, Ssd, SsdConfig};
 use aero_workloads::catalog::WorkloadId;
-use aero_workloads::SyntheticWorkload;
+use aero_workloads::{IoOp, IterSource, SyntheticWorkload};
 
 /// A full P/E-cycling loop through the controller keeps chip, scheme, and
 /// statistics consistent, and AERO accumulates less stress than Baseline on
@@ -171,4 +172,71 @@ fn mispredictions_do_not_erase_aeros_benefit() {
         noisy_lat < clean_lat * 1.5 + 600.0,
         "20% mispredictions should cost little (clean {clean_lat} us, noisy {noisy_lat} us)"
     );
+}
+
+/// Every completed request's latency, as the session reports it to
+/// observers, split by operation.
+#[derive(Default)]
+struct ExactLatencies {
+    reads: Vec<u64>,
+    writes: Vec<u64>,
+}
+
+impl SimObserver for ExactLatencies {
+    fn on_request_complete(&mut self, request: &CompletedRequest) {
+        match request.op {
+            IoOp::Read => self.reads.push(request.latency_ns),
+            IoOp::Write => self.writes.push(request.latency_ns),
+        }
+    }
+}
+
+/// The report's drive-wide latency histograms against exact order
+/// statistics: on a write-heavy session with garbage collection and
+/// multi-loop erases, every percentile of the ladder is never below the
+/// exact nearest-rank latency and at most `exact >> 10` above it, and the
+/// count, maximum and mean are exact.
+#[test]
+fn histogram_percentiles_stay_within_the_bound_of_exact_ranks() {
+    let mut ssd = Ssd::new(SsdConfig::small_test(SchemeKind::Aero).with_seed(5));
+    ssd.precondition_wear(2_500);
+    ssd.fill_fraction(0.7);
+    let workload = SyntheticWorkload {
+        read_ratio: 0.3,
+        mean_request_bytes: 16.0 * 1024.0,
+        mean_inter_arrival_ns: 100_000.0,
+        footprint_bytes: 4 << 20,
+        hot_access_fraction: 0.9,
+        hot_region_fraction: 0.3,
+    };
+    let mut exact = ExactLatencies::default();
+    let report = ssd
+        .session(IterSource::new(workload.stream(11).take(100_000)))
+        .with_observer(&mut exact)
+        .run_to_end();
+    assert!(report.gc_invocations > 0 && report.erase_stats.operations > 0);
+    let pairs: [(&LatencyRecorder, &mut Vec<u64>); 2] = [
+        (&report.read_latency, &mut exact.reads),
+        (&report.write_latency, &mut exact.writes),
+    ];
+    for (recorder, samples) in pairs {
+        samples.sort_unstable();
+        let n = samples.len() as u128;
+        assert!(n > 1_000);
+        assert_eq!(recorder.len() as u128, n);
+        assert_eq!(recorder.max(), samples[samples.len() - 1]);
+        let sum: u64 = samples.iter().sum();
+        assert_eq!(recorder.mean(), sum as f64 / n as f64);
+        for p in [10.0, 50.0, 90.0, 99.0, 99.9, 99.99, 99.9999, 100.0] {
+            let p_units = (p * 1e7f64).round() as u128;
+            let rank = (p_units * n).div_ceil(1_000_000_000).clamp(1, n);
+            let want = samples[rank as usize - 1];
+            let got = recorder.percentile(p);
+            let bound = if want < 1 << 11 { 0 } else { want >> 10 };
+            assert!(
+                want <= got && got - want <= bound,
+                "p{p}: {got} vs exact {want} (n = {n})"
+            );
+        }
+    }
 }

@@ -182,13 +182,15 @@ proptest! {
 
     /// The recorder agrees with a naive reference (every sample in a
     /// `Vec<u64>`, sorted on demand) under random interleavings of
-    /// `record`, `percentile`, `merge`, `clone` and
-    /// `warm_percentile_cache`, with samples below, at and above the 2³² ns
-    /// split between its `u32` and `u64` runs. The same samples recorded
-    /// in reverse compare equal; one extra sample compares unequal.
+    /// `record`, `percentile`, `merge` and `clone`, with samples around
+    /// 2³² ns, at device scale and up to 20 s: every percentile lies within
+    /// the histogram's bound of the exact nearest-rank sample (never below
+    /// it, at most `exact >> 10` above it, exact below 2¹¹ ns), and the
+    /// count, maximum and mean are exact. The same samples recorded in
+    /// reverse compare equal; one extra sample compares unequal.
     #[test]
     fn latency_recorder_matches_a_sorted_reference(
-        ops in proptest::collection::vec((0u8..10, any::<u64>(), 1u64..=1_000_000_000), 1..400),
+        ops in proptest::collection::vec((0u8..9, any::<u64>(), 1u64..=1_000_000_000), 1..400),
     ) {
         let mut recorder = LatencyRecorder::new();
         let mut reference: Vec<u64> = Vec::new();
@@ -210,14 +212,14 @@ proptest! {
                     reference.extend_from_slice(&donor_reference);
                 }
                 6 => recorder = recorder.clone(),
-                7 => recorder.warm_percentile_cache(),
                 op => {
-                    let p = if op == 8 {
+                    let p = if op == 7 {
                         PERCENTILE_LADDER[(bits % 8) as usize]
                     } else {
                         p_units as f64 / 1e7
                     };
-                    prop_assert_eq!(recorder.percentile(p), nearest_rank(&reference, p));
+                    let (got, exact) = (recorder.percentile(p), nearest_rank(&reference, p));
+                    prop_assert!(within_histogram_bound(got, exact), "p{}: {} vs exact {}", p, got, exact);
                 }
             }
         }
@@ -230,7 +232,8 @@ proptest! {
         };
         prop_assert_eq!(recorder.mean(), mean);
         for p in PERCENTILE_LADDER {
-            prop_assert_eq!(recorder.percentile(p), nearest_rank(&reference, p));
+            let (got, exact) = (recorder.percentile(p), nearest_rank(&reference, p));
+            prop_assert!(within_histogram_bound(got, exact), "p{}: {} vs exact {}", p, got, exact);
         }
         let mut reversed = LatencyRecorder::new();
         for &v in reference.iter().rev() {
@@ -369,7 +372,8 @@ proptest! {
 const PERCENTILE_LADDER: [f64; 8] = [10.0, 50.0, 90.0, 99.0, 99.9, 99.99, 99.9999, 100.0];
 
 /// A latency drawn from `bits`: within 16 ns below `u32::MAX` or above
-/// 2³², a device-scale value under 10 ms, or anything up to 20 s.
+/// 2³² (either side of a power-of-two bucket edge), a device-scale value
+/// under 10 ms, or anything up to 20 s.
 fn latency_near_the_split(bits: u64) -> u64 {
     let jitter = bits >> 60;
     match bits % 4 {
@@ -377,6 +381,17 @@ fn latency_near_the_split(bits: u64) -> u64 {
         1 => (1 << 32) + jitter,
         2 => (bits >> 8) % 10_000_000,
         _ => (bits >> 8) % 20_000_000_000,
+    }
+}
+
+/// The latency histogram's error bound: a percentile is never below the
+/// exact order statistic, at most `exact >> 10` above it, and exact below
+/// 2¹¹ ns.
+fn within_histogram_bound(got: u64, exact: u64) -> bool {
+    if exact < 1 << 11 {
+        got == exact
+    } else {
+        exact <= got && got - exact <= exact >> 10
     }
 }
 
