@@ -600,6 +600,17 @@ impl Chip {
         Ok(())
     }
 
+    /// [`Chip::precondition_block`] for every block of the chip. The wear
+    /// state depends only on the chip family and `pec`, so it is computed
+    /// once for the whole chip.
+    pub fn precondition_all_blocks(&mut self, pec: u32) {
+        let wear =
+            crate::erase::characteristics::baseline_equivalent_wear(&self.config.family, pec);
+        for state in &mut self.blocks {
+            state.wear = wear;
+        }
+    }
+
     // ------------------------------------------------------------------
     // Snapshot support
     // ------------------------------------------------------------------
@@ -829,6 +840,22 @@ mod tests {
         // A preconditioned block erased conventionally now needs several loops.
         let rep = c.erase_block_default(b).unwrap();
         assert!(rep.n_loops() >= 2);
+    }
+
+    /// Preconditioning the whole chip leaves every block with the wear that
+    /// preconditioning it alone gives.
+    #[test]
+    fn preconditioning_all_blocks_matches_block_by_block() {
+        let (mut whole, mut each) = (chip(), chip());
+        whole.precondition_all_blocks(2_500);
+        let blocks: Vec<BlockAddr> = each.geometry().iter_blocks().collect();
+        for &b in &blocks {
+            each.precondition_block(b, 2_500).unwrap();
+        }
+        for &b in &blocks {
+            assert_eq!(whole.wear(b).unwrap(), each.wear(b).unwrap(), "block {b}");
+        }
+        assert_eq!(whole.wear(blocks[0]).unwrap().pec, 2_500);
     }
 
     #[test]

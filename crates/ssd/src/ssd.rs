@@ -411,12 +411,7 @@ impl Ssd {
     pub fn precondition_wear(&mut self, pec: u32) {
         let geometry = self.config.family.geometry;
         for die in &mut self.dies {
-            for addr in geometry.iter_blocks() {
-                die.chip
-                    .precondition_block(addr, pec)
-                    // aero-lint: allow(D4, iter_blocks yields only in-range addresses for this geometry)
-                    .expect("block address from geometry iterator is valid");
-            }
+            die.chip.precondition_all_blocks(pec);
             // Every block now sits at exactly `pec` cycles.
             die.pec_sum = pec as u64 * geometry.total_blocks();
         }
