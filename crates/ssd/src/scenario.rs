@@ -35,6 +35,7 @@ use aero_workloads::IterSource;
 use crate::audit::{Auditor, CorruptionKind, Invariant, Violation, MAX_VIOLATIONS};
 use crate::config::SsdConfig;
 use crate::host::{HostInterface, TenantConfig};
+use crate::latency::LatencyRecorder;
 use crate::persist::{apply_torn_write, TornWrite};
 use crate::report::RunReport;
 use crate::ssd::Ssd;
@@ -598,8 +599,37 @@ fn failure(scenario: &FuzzScenario, issued: u64, auditor: &Auditor) -> Box<Scena
 
 /// Checks that every derived metric of a report is finite and in range —
 /// the zero-duration guard contract (a snapshot at `t == 0` must yield
-/// zeros, never NaN).
+/// zeros, never NaN) — that the drive-wide recorders hold one sample per
+/// completed request, and that every recorder's statistics are ordered.
 fn check_report_sanity(report: &RunReport, context: &str, out: &mut Vec<Violation>) {
+    let drive_wide = [
+        ("read", &report.read_latency, report.reads_completed),
+        ("write", &report.write_latency, report.writes_completed),
+    ];
+    for (kind, recorder, completed) in drive_wide {
+        if recorder.len() as u64 != completed {
+            out.push(Violation::new(
+                Invariant::ReportSanity,
+                format!(
+                    "{context}: {} {kind}-latency samples for {completed} completions",
+                    recorder.len()
+                ),
+            ));
+        }
+        check_recorder_sanity(recorder, &format!("{context}: {kind} latency"), out);
+    }
+    for (index, slice) in report.tenants.iter().enumerate() {
+        check_recorder_sanity(
+            &slice.latency,
+            &format!("{context}: tenant {index} latency"),
+            out,
+        );
+        check_recorder_sanity(
+            &slice.queue_delay,
+            &format!("{context}: tenant {index} queue delay"),
+            out,
+        );
+    }
     let checks = [
         ("iops", report.iops()),
         ("mean_read_latency_us", report.mean_read_latency_us()),
@@ -625,6 +655,40 @@ fn check_report_sanity(report: &RunReport, context: &str, out: &mut Vec<Violatio
                 format!("{context}: channel {channel} utilization is {utilization}"),
             ));
         }
+    }
+}
+
+/// Checks one recorder's statistics against each other: the percentile
+/// ladder never decreases, its p100 is the maximum, and the mean is not
+/// above the maximum.
+fn check_recorder_sanity(recorder: &LatencyRecorder, context: &str, out: &mut Vec<Violation>) {
+    const LADDER: [f64; 8] = [10.0, 50.0, 90.0, 99.0, 99.9, 99.99, 99.9999, 100.0];
+    let ladder = LADDER.map(|p| recorder.percentile(p));
+    if ladder.windows(2).any(|pair| pair[0] > pair[1]) {
+        out.push(Violation::new(
+            Invariant::ReportSanity,
+            format!("{context}: percentile ladder {ladder:?} decreases"),
+        ));
+    }
+    if ladder[7] != recorder.max() {
+        out.push(Violation::new(
+            Invariant::ReportSanity,
+            format!(
+                "{context}: p100 {} is not the maximum {}",
+                ladder[7],
+                recorder.max()
+            ),
+        ));
+    }
+    if recorder.mean() > recorder.max() as f64 {
+        out.push(Violation::new(
+            Invariant::ReportSanity,
+            format!(
+                "{context}: mean {} exceeds the maximum {}",
+                recorder.mean(),
+                recorder.max()
+            ),
+        ));
     }
 }
 
