@@ -46,7 +46,6 @@ pub mod ept;
 pub mod felp;
 pub mod fingerprint;
 pub mod iispe;
-pub mod lifetime;
 pub mod scheme;
 pub mod sef;
 pub mod stats;

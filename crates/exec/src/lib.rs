@@ -18,7 +18,7 @@
 //!   all workers have been joined, exactly like a sequential loop would.
 //!
 //! The worker count comes from, in priority order: a process-local
-//! [`override_threads`] guard (used by tests and `perf_report` to pin the
+//! [`override_threads`] guard (used by tests and the benchmark to pin the
 //! count), the `AERO_THREADS` environment variable, and
 //! [`std::thread::available_parallelism`].
 

@@ -67,18 +67,6 @@ pub enum NandError {
         /// Number of erase loops attempted before giving up.
         loops_attempted: u32,
     },
-    /// A feature address not understood by the chip was used with
-    /// GET/SET FEATURE.
-    UnknownFeature {
-        /// The raw feature address.
-        address: u8,
-    },
-    /// A multi-plane operation listed the same plane more than once, or mixed
-    /// operations of different kinds.
-    InvalidMultiPlaneOperation {
-        /// Human-readable reason.
-        reason: String,
-    },
     /// An erase suspension was requested while no erase was in flight, or a
     /// resume was requested while nothing was suspended.
     InvalidSuspendState {
@@ -133,12 +121,6 @@ impl fmt::Display for NandError {
                 f,
                 "block {addr} could not be erased after {loops_attempted} erase loops"
             ),
-            NandError::UnknownFeature { address } => {
-                write!(f, "unknown feature address {address:#04x}")
-            }
-            NandError::InvalidMultiPlaneOperation { reason } => {
-                write!(f, "invalid multi-plane operation: {reason}")
-            }
             NandError::InvalidSuspendState { reason } => {
                 write!(f, "invalid suspend/resume request: {reason}")
             }
@@ -182,10 +164,6 @@ mod tests {
             NandError::EraseFailure {
                 addr: BlockAddr::new(0, 3),
                 loops_attempted: 9,
-            },
-            NandError::UnknownFeature { address: 0xAB },
-            NandError::InvalidMultiPlaneOperation {
-                reason: "duplicate plane".to_string(),
             },
             NandError::InvalidSuspendState {
                 reason: "no erase in flight".to_string(),

@@ -4,9 +4,11 @@
 //! research: block/page organization, the Incremental Step Pulse Erasure
 //! (ISPE) scheme with its erase-pulse (EP) and verify-read (VR) steps,
 //! per-block erase characteristics with process variation, fail-bit dynamics,
-//! wear accumulation, raw bit-error-rate (RBER) and ECC modelling, and an
-//! ONFI-like command interface (including the GET/SET FEATURE hooks that the
-//! AERO FTL uses to tune erase-pulse latency and read back fail-bit counts).
+//! wear accumulation, raw bit-error-rate (RBER) and ECC modelling. The
+//! GET/SET FEATURE hooks that the AERO FTL uses to tune erase-pulse latency
+//! and read back fail-bit counts are [`Chip`] methods
+//! ([`Chip::set_erase_pulse`], [`Chip::run_erase_loop`]), which the erase
+//! controller calls directly.
 //!
 //! The model is *parametric and statistical*: it does not simulate individual
 //! cells, but per-block quantities (erase "dose", fail-bit counts, RBER) whose
@@ -37,20 +39,17 @@
 pub mod cell;
 pub mod chip;
 pub mod chip_family;
-pub mod commands;
 pub mod erase;
 pub mod error;
 pub mod fault;
 pub mod geometry;
 pub mod reliability;
 pub mod timing;
-pub mod vth;
 pub mod wear;
 
 pub use cell::{CellTechnology, DataPattern};
 pub use chip::{BlockOverlay, Chip, ChipConfig, EraseReport};
 pub use chip_family::ChipFamily;
-pub use commands::{Command, CommandResponse, FeatureAddress, FeatureValue};
 pub use erase::characteristics::{BlockEraseState, EraseCharacteristics};
 pub use erase::failbits::FailBitModel;
 pub use erase::ispe::{EraseLoopOutcome, IspeEngine, IspeParams};

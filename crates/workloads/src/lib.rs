@@ -19,8 +19,6 @@
 //! * [`source`] — the [`WorkloadSource`] pull interface the SSD simulator's
 //!   session API consumes, with adapters for traces ([`TraceSource`]) and
 //!   arbitrary request iterators ([`IterSource`]);
-//! * [`precondition`] — sequential fill workloads used to bring a simulated
-//!   SSD to a steady utilization before measurement;
 //! * [`fuzz`] — deterministic seeded scenario generation (schemes ×
 //!   layouts × wear × multi-phase sessions × multi-tenant plans) for the
 //!   simulator's audit-driven scenario fuzzer;
@@ -50,7 +48,6 @@
 
 pub mod catalog;
 pub mod fuzz;
-pub mod precondition;
 pub mod request;
 pub mod source;
 pub mod synth;
