@@ -15,7 +15,7 @@
 //!   shallow probe for different `tSE`);
 //! * [`study::reliability_margin`] — Figure 10 (`M_RBER` after complete vs
 //!   insufficient erasure, against ECC capability and requirement);
-//! * [`study::other_chip_types`] — Figure 11 (2D TLC and 3D MLC);
+//! * [`study::other_chip_type`] — Figure 11 (2D TLC and 3D MLC);
 //! * [`lifetime_study`] — Figure 13 (average `M_RBER` vs PEC for the five
 //!   erase schemes).
 

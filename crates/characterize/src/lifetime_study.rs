@@ -5,7 +5,7 @@
 //! 160 chips and cycles each set with one scheme, measuring the maximum RBER
 //! under 1-year retention as wear accumulates. Here each set is a small chip
 //! model whose blocks are cycled through the scheme's
-//! [`EraseController`](aero_core::controller::EraseController).
+//! [`EraseController`].
 
 use std::collections::BTreeMap;
 

@@ -8,16 +8,16 @@
 //!
 //! Five schemes are provided, matching the paper's evaluation (§7):
 //!
-//! * [`BaselineIspe`](baseline::BaselineIspe) — the conventional ISPE scheme
-//!   (fixed worst-case pulse latency every loop);
-//! * [`IntelligentIspe`](iispe::IntelligentIspe) — i-ISPE, which skips the
-//!   early erase loops by jumping to the voltage of the last successful loop;
-//! * [`Dpes`](dpes::Dpes) — Dynamic Program and Erase Scaling, which lowers
-//!   the erase voltage (while it still can) at the cost of slower programs;
-//! * [`Aero`](aero::Aero) in conservative mode (`AERO_CONS`) — fail-bit-based
+//! * [`BaselineIspe`] — the conventional ISPE scheme (fixed worst-case
+//!   pulse latency every loop);
+//! * [`IntelligentIspe`] — i-ISPE, which skips the early erase loops by
+//!   jumping to the voltage of the last successful loop;
+//! * [`Dpes`] — Dynamic Program and Erase Scaling, which lowers the erase
+//!   voltage (while it still can) at the cost of slower programs;
+//! * [`Aero`] in conservative mode (`AERO_CONS`) — fail-bit-based
 //!   erase-latency prediction plus shallow erasure;
-//! * [`Aero`](aero::Aero) in aggressive mode (`AERO`) — additionally spends
-//!   the ECC-capability margin to shorten or skip the final loop.
+//! * [`Aero`] in aggressive mode (`AERO`) — additionally spends the
+//!   ECC-capability margin to shorten or skip the final loop.
 //!
 //! ## Quick example
 //!

@@ -506,7 +506,7 @@ fn match_rules(
 }
 
 /// Recursively collects every `.rs` file under `root`, skipping
-/// [`SKIPPED_DIRS`], in a deterministic (sorted) order. Paths are returned
+/// `SKIPPED_DIRS`, in a deterministic (sorted) order. Paths are returned
 /// workspace-relative with `/` separators, paired with their absolute
 /// path.
 pub fn collect_rust_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {

@@ -19,7 +19,7 @@
 //! # Channel model
 //!
 //! The drive is organized as `channels × chips_per_channel` dies, and dies
-//! on the same channel share one data bus ([`Channel`]), as in the paper's
+//! on the same channel share one data bus (`Channel`), as in the paper's
 //! MQSim-based evaluation SSD (Table 2: 8 channels × 2 chips). Every page
 //! data transfer — user read, user write, GC read-out and rewrite-in —
 //! reserves the die's channel bus in FCFS order, while NAND array time

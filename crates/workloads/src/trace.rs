@@ -16,7 +16,7 @@
 //! Two parsing modes are provided. [`parse_msrc`] eagerly materializes a
 //! [`Trace`] (sorting requests by arrival time); [`MsrcSource`] parses **one
 //! line at a time** and implements
-//! [`WorkloadSource`](crate::WorkloadSource), so a multi-gigabyte trace file
+//! [`WorkloadSource`], so a multi-gigabyte trace file
 //! can drive a simulation directly from a [`BufRead`] without a `Vec` of
 //! requests ever existing.
 
