@@ -15,6 +15,8 @@
 //!
 //! Re-bless only on a deliberate change to the erase, wear or RBER model.
 
+mod pin;
+
 use std::fmt::Write as _;
 
 use aero_characterize::lifetime_study::{run_scheme, LifetimeStudyConfig};
@@ -63,29 +65,5 @@ fn render() -> String {
 
 #[test]
 fn lifetime_curves_are_bit_identical_to_the_fixture() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/lifetime_curves.txt"
-    );
-    let generated = render();
-    if std::env::var("AERO_BLESS_FIXTURES").is_ok() {
-        std::fs::write(path, &generated).expect("bless the fixture");
-    }
-    let pinned = std::fs::read_to_string(path).expect(
-        "missing tests/fixtures/lifetime_curves.txt — regenerate with \
-         AERO_BLESS_FIXTURES=1 cargo test -q --test lifetime_pin",
-    );
-    for (i, (want, got)) in pinned.lines().zip(generated.lines()).enumerate() {
-        assert_eq!(
-            got,
-            want,
-            "lifetime curves drifted from the fixture at line {}",
-            i + 1
-        );
-    }
-    assert_eq!(
-        generated.lines().count(),
-        pinned.lines().count(),
-        "lifetime curves have a different number of points than the fixture"
-    );
+    pin::check_fixture("lifetime_curves.txt", "lifetime_pin", &render());
 }

@@ -24,6 +24,8 @@
 //! Re-bless only on a deliberate change to what a session computes: its
 //! scheduling, FTL, erase or fault model, or what a report records.
 
+mod pin;
+
 use std::fmt::Write as _;
 
 use aero::core::SchemeKind;
@@ -246,29 +248,5 @@ fn render() -> String {
 
 #[test]
 fn session_reports_are_bit_identical_to_the_fixture() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/session_reports.txt"
-    );
-    let generated = render();
-    if std::env::var("AERO_BLESS_FIXTURES").is_ok() {
-        std::fs::write(path, &generated).expect("bless the fixture");
-    }
-    let pinned = std::fs::read_to_string(path).expect(
-        "missing tests/fixtures/session_reports.txt — regenerate with \
-         AERO_BLESS_FIXTURES=1 cargo test -q --test session_pin",
-    );
-    for (i, (want, got)) in pinned.lines().zip(generated.lines()).enumerate() {
-        assert_eq!(
-            got,
-            want,
-            "session reports drifted from the fixture at line {}",
-            i + 1
-        );
-    }
-    assert_eq!(
-        generated.lines().count(),
-        pinned.lines().count(),
-        "session reports have a different number of lines than the fixture"
-    );
+    pin::check_fixture("session_reports.txt", "session_pin", &render());
 }
