@@ -6,12 +6,24 @@
 //! (`AERO_THREADS=1` is the reference). These tests pin that contract on a
 //! real `run_ssd` sweep and on the full quick-scale Table 4 harness.
 //!
+//! The 1-thread quick renders of Figure 14, Table 4, the channel sweep and
+//! the interference study are also compared with the committed fixture
+//! `tests/fixtures/quick_figures.txt`, regenerated with:
+//!
+//! ```text
+//! AERO_BLESS_FIXTURES=1 cargo test -q --test determinism
+//! ```
+//!
+//! Re-bless only on a deliberate change to what the figures compute.
+//!
 //! The thread-count override is process-global, so all override
 //! manipulation lives in a single `#[test]` function — two tests toggling
 //! it concurrently would trample each other.
 
+mod pin;
+
 use aero::bench::interference::interference_study;
-use aero::bench::system::{channel_sweep, run_ssd, table4, RunParams};
+use aero::bench::system::{channel_sweep, fig14, run_ssd, table4, RunParams};
 use aero::bench::Scale;
 use aero::core::SchemeKind;
 use aero::ssd::scenario::{run_scenario, ScenarioOutcome};
@@ -88,17 +100,37 @@ fn faulted_sweep() -> Vec<ScenarioOutcome> {
 #[test]
 fn sweeps_are_byte_identical_across_thread_counts() {
     // Reference: everything on one thread, as with AERO_THREADS=1.
-    let (sweep_one, streamed_one, table_one, channels_one, faulted_one, interference_one) = {
+    let (
+        sweep_one,
+        streamed_one,
+        fig14_one,
+        table_one,
+        channels_one,
+        faulted_one,
+        interference_one,
+    ) = {
         let _guard = aero::exec::override_threads(1);
         (
             sweep(),
             streamed_sweep(),
+            fig14(Scale::Quick),
             table4(Scale::Quick),
             channel_sweep(Scale::Quick),
             faulted_sweep(),
             interference_study(Scale::Quick),
         )
     };
+    pin::check_fixture(
+        "quick_figures.txt",
+        "determinism",
+        &[
+            fig14_one.as_str(),
+            &table_one,
+            &channels_one,
+            &interference_one,
+        ]
+        .join("\n"),
+    );
     // The faulted reference must actually exercise the fault machinery,
     // or the cross-thread comparison below pins nothing.
     assert!(
