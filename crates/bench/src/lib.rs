@@ -38,7 +38,6 @@
 //! overhead (scheme decision cost, characterization primitives, simulator
 //! throughput) rather than simulated flash time.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figures;

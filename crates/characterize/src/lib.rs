@@ -19,7 +19,6 @@
 //! * [`lifetime_study`] — Figure 13 (average `M_RBER` vs PEC for the five
 //!   erase schemes).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod lifetime_study;

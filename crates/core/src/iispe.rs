@@ -27,7 +27,7 @@ pub struct IntelligentIspe {
     default_pulse: Micros,
     /// Last observed final-loop voltage index per block. A `BTreeMap` so
     /// any future iteration is in block order by construction (the
-    /// workspace determinism contract, aero-lint rule D1).
+    /// workspace determinism contract, rule D1 in `clippy.toml`).
     last_final_loop: BTreeMap<BlockId, u32>,
     /// Voltage index the current erase operation started at.
     start_index: u32,

@@ -160,6 +160,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "this test checks that BlockId implements Hash"
+    )]
     fn block_id_is_hashable_and_ordered() {
         use std::collections::HashMap;
         let mut m = HashMap::new();

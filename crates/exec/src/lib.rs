@@ -22,7 +22,6 @@
 //! count), the `AERO_THREADS` environment variable, and
 //! [`std::thread::available_parallelism`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::env;

@@ -10,6 +10,9 @@
 //! erase can be finalized early with the block left insufficiently erased
 //! (AERO's aggressive mode).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 use std::collections::BTreeMap;
 
 use rand::SeedableRng;
@@ -146,7 +149,7 @@ pub struct Chip {
     rng: ChaCha12Rng,
     /// Erase operations currently in flight, keyed by block. A `BTreeMap`
     /// so any future iteration is in address order by construction (the
-    /// workspace determinism contract, aero-lint rule D1).
+    /// workspace determinism contract, rule D1 in `clippy.toml`).
     active_erases: BTreeMap<BlockAddr, IspeEngine>,
     /// Stress factor per erase loop, shared by every erase on the chip.
     stress_memo: StressMemo,

@@ -8,6 +8,9 @@
 //! up a new free block is opened. Greedy GC picks the block with the fewest
 //! valid pages.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 use std::collections::BTreeMap;
 
 /// A physical page address in drive-global coordinates.
@@ -234,7 +237,10 @@ impl DieFtl {
             self.blocks[block as usize].state = BlockState::Open;
             self.frontier = Some(block);
         }
-        // aero-lint: allow(D4, the branch above populated the frontier or returned None)
+        #[expect(
+            clippy::expect_used,
+            reason = "the branch above populated the frontier or returned None"
+        )]
         let block = self.frontier.expect("frontier just ensured");
         let info = &mut self.blocks[block as usize];
         let page = info.written_pages;

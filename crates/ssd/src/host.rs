@@ -57,6 +57,9 @@
 //! assert_eq!(report.tenant("alpha").unwrap().completed(), 200);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 

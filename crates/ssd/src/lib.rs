@@ -96,7 +96,6 @@
 //! split from device latency, filling the per-tenant
 //! [`report::TenantReport`] slices of the final [`RunReport`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;

@@ -43,9 +43,8 @@ pub struct DriveHealth {
     /// The drive's total bad-block spare budget
     /// (`spare_blocks_per_die × dies`).
     pub spare_blocks_total: u64,
-    /// Retirements the drive can still absorb before degrading to
-    /// read-only mode (`spare_blocks_total - retired_blocks`, floored at
-    /// zero).
+    /// Retirements the drive can still absorb before its spares run out
+    /// (`spare_blocks_total - retired_blocks`, floored at zero).
     pub spare_headroom: u64,
     /// Program-status failures absorbed this run by remapping the
     /// in-flight page to the next frontier slot.
@@ -61,9 +60,10 @@ pub struct DriveHealth {
     /// disabled — the ladder never runs.
     pub read_retry_histogram: [u64; 6],
     /// User writes completed as `DriveReadOnly` this run because the
-    /// drive had exhausted its spares.
+    /// drive was read-only (see `read_only` for why).
     pub writes_rejected_read_only: u64,
-    /// Whether the drive is in read-only graceful degradation.
+    /// Whether the drive is in read-only graceful degradation: its spares
+    /// ran out, or a die could no longer reclaim space (spares may remain).
     pub read_only: bool,
     /// Simulated time at which the drive transitioned to read-only during
     /// this run (`None` if it never did, or entered the run already

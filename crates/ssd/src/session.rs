@@ -54,6 +54,9 @@
 //! assert!(total.reads_completed + total.writes_completed >= warmup.reads_completed);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 use std::collections::{BTreeMap, VecDeque};
 
 use aero_nand::geometry::PageAddr;
@@ -775,20 +778,29 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
             (None, None) => return StepOutcome::Finished,
         };
         if take_arrival {
-            // aero-lint: allow(D4, take_arrival is only true when an arrival was peeked)
+            #[expect(
+                clippy::expect_used,
+                reason = "take_arrival is only true when an arrival was peeked"
+            )]
             let at = arrival_at.expect("take_arrival implies a peeked arrival");
             if at > limit {
                 return StepOutcome::Beyond;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "peek_arrival returned Some above, so the lookahead slot is filled"
+            )]
             let request = self
                 .lookahead
                 .take()
-                // aero-lint: allow(D4, peek_arrival returned Some above, so the lookahead slot is filled)
                 .expect("peek_arrival returned Some, so the lookahead is filled");
             self.now = at;
             self.admit(request);
         } else {
-            // aero-lint: allow(D4, the take_arrival match returned early unless a wake-up is pending)
+            #[expect(
+                clippy::expect_used,
+                reason = "the take_arrival match returned early unless a wake-up is pending"
+            )]
             let (now, die_idx) = wake.expect("no arrival taken implies a pending wake-up");
             if now > limit {
                 return StepOutcome::Beyond;
@@ -1187,10 +1199,13 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
             if erase_in_flight {
                 // Count the pause *transition*, not every read serviced in
                 // the gap: the flag is cleared when the erase resumes.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "erase_in_flight was checked on this die just above"
+                )]
                 let job = self.ssd.dies[die_idx]
                     .erase_job
                     .as_mut()
-                    // aero-lint: allow(D4, erase_in_flight was checked on this die just above)
                     .expect("in-flight erase checked above");
                 if !job.suspended {
                     job.suspended = true;
@@ -1311,10 +1326,13 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                             self.ssd.counters.user_pages_written;
                         self.read_only_since_ns = Some(now);
                     }
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the same transaction was push_front'ed two lines up"
+                    )]
                     let txn = self.ssd.dies[die_idx]
                         .user_writes
                         .pop_front()
-                        // aero-lint: allow(D4, the same transaction was push_front'ed two lines up)
                         .expect("just requeued");
                     self.ssd.counters.writes_rejected += 1;
                     let done = self.ssd.channels[channel_idx].reserve(now, transfer) + transfer;
@@ -1402,7 +1420,10 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
             .as_ref()
             .is_some_and(|j| !j.started);
         if can_erase {
-            // aero-lint: allow(D4, can_erase proved the job is Some; a borrow cannot span decide_erase)
+            #[expect(
+                clippy::unwrap_used,
+                reason = "can_erase proved the job is Some; a borrow cannot span decide_erase"
+            )]
             let block = self.ssd.dies[die_idx].erase_job.as_ref().unwrap().block;
             let stats_before = self.ssd.controller.stats().total_latency;
             let (latencies, failed) = self.ssd.decide_erase(die_idx, block);
@@ -1421,7 +1442,10 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                 .saturating_sub(stats_before);
             self.run_max_erase_latency = self.run_max_erase_latency.max(this_erase);
             {
-                // aero-lint: allow(D4, can_erase proved the job is Some and decide_erase never clears it)
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "can_erase proved the job is Some and decide_erase never clears it"
+                )]
                 let job = self.ssd.dies[die_idx].erase_job.as_mut().unwrap();
                 job.loop_latencies = latencies;
                 job.started = true;
@@ -1549,7 +1573,10 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
         if state.remaining_pages > 0 {
             return;
         }
-        // aero-lint: allow(D4, entry matched Some in the let-else above and was not replaced since)
+        #[expect(
+            clippy::expect_used,
+            reason = "entry matched Some in the let-else above and was not replaced since"
+        )]
         let state = entry.take().expect("entry matched Some above");
         self.in_flight_live -= 1;
         // Pop completed leading slots so the slab spans only the window

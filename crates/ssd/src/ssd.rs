@@ -45,6 +45,9 @@
 //! scan; and an in-flight erase walks a cursor over its decided loop
 //! latencies instead of draining a per-job `VecDeque`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 use std::collections::{BTreeSet, VecDeque};
 
 use aero_core::controller::EraseController;
@@ -536,9 +539,12 @@ impl Ssd {
         let (block, page) = loop {
             let (block, page, _) = die.ftl.allocate_page()?;
             let addr = geometry.block_addr(block as usize);
+            #[expect(
+                clippy::expect_used,
+                reason = "the FTL frontier hands out pages of an erased block in order"
+            )]
             die.chip
                 .program_page(PageAddr::new(addr, page), DataPattern::Randomized)
-                // aero-lint: allow(D4, the FTL frontier hands out pages of an erased block in order)
                 .expect("frontier pages are programmed in order on erased blocks");
             if die.fault.program_fails() {
                 // Program-status failure: the frontier page stays written
@@ -755,15 +761,15 @@ impl Ssd {
     }
 
     /// Remaining bad-block spare headroom: retirements the drive can still
-    /// absorb before degrading to read-only mode.
+    /// absorb before its spares run out.
     pub fn spare_headroom(&self) -> u64 {
         self.config
             .spare_budget()
             .saturating_sub(self.retired_blocks())
     }
 
-    /// Whether the drive has exhausted its spares and degraded to read-only
-    /// mode (reads keep serving; user writes complete as `DriveReadOnly`).
+    /// Whether the drive has degraded to read-only mode because its spares
+    /// ran out or a die could no longer reclaim space (reads keep serving).
     pub fn read_only(&self) -> bool {
         self.read_only
     }

@@ -21,7 +21,7 @@ pub enum Suite {
 
 /// Identifiers of the eleven evaluated workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
+#[expect(missing_docs, reason = "each variant is named after its trace")]
 pub enum WorkloadId {
     AliA,
     AliB,
@@ -154,7 +154,7 @@ mod tests {
     fn eleven_workloads_with_unique_labels() {
         let all = WorkloadId::all();
         assert_eq!(all.len(), 11);
-        let labels: std::collections::HashSet<_> = all.iter().map(|w| w.label()).collect();
+        let labels: std::collections::BTreeSet<_> = all.iter().map(|w| w.label()).collect();
         assert_eq!(labels.len(), 11);
     }
 

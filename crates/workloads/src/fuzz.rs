@@ -467,7 +467,7 @@ impl WorkloadSource for SessionStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn same_seed_same_scenario_byte_for_byte() {
@@ -599,8 +599,8 @@ mod tests {
             "tenant draw skewed: {}/128",
             contended.len()
         );
-        let mut arbiters = HashSet::new();
-        let mut policies = HashSet::new();
+        let mut arbiters = BTreeSet::new();
+        let mut policies = BTreeSet::new();
         for plan in &contended {
             arbiters.insert(plan.arbiter.label());
             for tenant in &plan.tenants {
@@ -638,9 +638,9 @@ mod tests {
 
     #[test]
     fn sixty_four_seeds_cover_all_schemes_suspensions_and_layouts() {
-        let mut schemes = HashSet::new();
-        let mut suspensions = HashSet::new();
-        let mut layouts = HashSet::new();
+        let mut schemes = BTreeSet::new();
+        let mut suspensions = BTreeSet::new();
+        let mut layouts = BTreeSet::new();
         for seed in 0..64u64 {
             let sc = scenario(seed);
             schemes.insert(sc.scheme.label());

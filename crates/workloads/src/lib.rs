@@ -43,7 +43,6 @@
 //! assert_eq!(streamed.as_slice(), trace.requests());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod catalog;

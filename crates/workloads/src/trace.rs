@@ -176,7 +176,7 @@ fn own_line(line: &str) -> io::Result<String> {
 
 impl<'a> MsrcSource<std::iter::Map<std::str::Lines<'a>, fn(&str) -> io::Result<String>>> {
     /// Streams requests out of in-memory MSRC CSV content.
-    #[allow(clippy::should_implement_trait)] // fallible source, not FromStr
+    #[expect(clippy::should_implement_trait, reason = "fallible, not FromStr")]
     pub fn from_str(content: &'a str) -> Self {
         MsrcSource::from_lines(
             content

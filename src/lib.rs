@@ -17,7 +17,6 @@
 //! See the repository `README.md` for the full crate map and how to
 //! reproduce each paper figure.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use aero_bench as bench;

@@ -13,7 +13,7 @@
 //! which runs exactly that scenario, shrinks the failure to a minimal
 //! request prefix, and prints the violations.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use aero_core::SchemeKind;
 use aero_exec::par_try_map;
@@ -58,6 +58,10 @@ fn run_and_diagnose(sc: &FuzzScenario) -> Result<(), String> {
 /// reproduction.
 #[test]
 fn fuzz_scenarios_audit_clean_across_schemes_layouts_and_suspension() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "AERO_FUZZ_SEED picks the seed to reproduce; it changes no simulated result"
+    )]
     if let Ok(value) = std::env::var("AERO_FUZZ_SEED") {
         let seed: u64 = value
             .parse()
@@ -76,9 +80,9 @@ fn fuzz_scenarios_audit_clean_across_schemes_layouts_and_suspension() {
     // The fixed seed list must span the configuration space the acceptance
     // bar names: all five schemes, both suspension settings, and at least
     // two channel layouts.
-    let schemes: HashSet<&str> = scenarios.iter().map(|s| s.scheme.label()).collect();
-    let suspensions: HashSet<bool> = scenarios.iter().map(|s| s.erase_suspension).collect();
-    let layouts: HashSet<(u32, u32)> = scenarios
+    let schemes: BTreeSet<&str> = scenarios.iter().map(|s| s.scheme.label()).collect();
+    let suspensions: BTreeSet<bool> = scenarios.iter().map(|s| s.erase_suspension).collect();
+    let layouts: BTreeSet<(u32, u32)> = scenarios
         .iter()
         .map(|s| (s.channels, s.chips_per_channel))
         .collect();
@@ -94,7 +98,7 @@ fn fuzz_scenarios_audit_clean_across_schemes_layouts_and_suspension() {
         "crash coverage: {} plans",
         crashes.len()
     );
-    let flavors: HashSet<bool> = crashes.iter().map(|c| c.truncate).collect();
+    let flavors: BTreeSet<bool> = crashes.iter().map(|c| c.truncate).collect();
     assert_eq!(flavors.len(), 2, "both torn-write flavors must appear");
 
     let outcomes = par_try_map(scenarios, |sc| {

@@ -12,7 +12,7 @@
 //! Re-bless only on a deliberate format change, together with a
 //! `FORMAT_VERSION` bump.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use aero_core::fingerprint::fnv1a_64;
 use aero_core::SchemeKind;
@@ -210,6 +210,10 @@ fn golden_snapshot_fixture_pins_the_format() {
         "/tests/fixtures/snapshot_v2.bin"
     );
     let (config, generated) = golden_bytes();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "AERO_BLESS_FIXTURES rewrites the fixture; it changes no simulated result"
+    )]
     if std::env::var("AERO_BLESS_FIXTURES").is_ok() {
         std::fs::write(path, &generated).expect("bless the fixture");
     }
@@ -307,7 +311,7 @@ fn header_flips_produce_distinct_error_classes() {
     let config = SsdConfig::small_test(SchemeKind::Baseline).with_seed(19);
     let ssd = exercised_drive(&config);
     let bytes = ssd.snapshot_bytes();
-    let mut classes: HashSet<&'static str> = HashSet::new();
+    let mut classes: BTreeSet<&'static str> = BTreeSet::new();
     for bit in 0..HEADER_BYTES * 8 {
         let mut torn = bytes.clone();
         apply_torn_write(&mut torn, TornWrite::FlipBit(bit));
@@ -326,7 +330,7 @@ fn header_flips_produce_distinct_error_classes() {
     }
     assert_eq!(
         classes,
-        HashSet::from(["magic", "version", "fingerprint"]),
+        BTreeSet::from(["magic", "version", "fingerprint"]),
         "every header field must have its own typed rejection"
     );
 }

@@ -5,6 +5,10 @@
 /// `generated`. `test` names the test target, for the re-bless command.
 pub fn check_fixture(file: &str, test: &str, generated: &str) {
     let path = format!("{}/tests/fixtures/{file}", env!("CARGO_MANIFEST_DIR"));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "AERO_BLESS_FIXTURES rewrites the fixture; it changes no simulated result"
+    )]
     if std::env::var("AERO_BLESS_FIXTURES").is_ok() {
         std::fs::write(&path, generated).expect("bless the fixture");
     }

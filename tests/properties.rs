@@ -126,7 +126,7 @@ proptest! {
     fn die_ftl_allocations_are_unique(blocks in 2u32..8, pages in 2u32..16, allocs in 1usize..100) {
         let mut die = DieFtl::new(blocks, pages);
         let capacity = (blocks * pages) as usize;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut succeeded = 0usize;
         for _ in 0..allocs {
             match die.allocate_page() {
@@ -152,7 +152,7 @@ proptest! {
         0u32..PageMapping::MAX_PAGES_PER_BLOCK,
     ), 1..200)) {
         let mut mapping = PageMapping::new(64);
-        let mut reference = std::collections::HashMap::new();
+        let mut reference = std::collections::BTreeMap::new();
         for (lpn, die, block, page) in updates {
             let ppa = Ppa { die, block, page };
             prop_assert_eq!(mapping.update(lpn, ppa), reference.insert(lpn, ppa));

@@ -64,7 +64,7 @@ fn every_scheme_kind_erases_a_block_through_the_controller() {
 fn scheme_registry_is_complete_and_distinct() {
     let all = SchemeKind::all();
     assert_eq!(all.len(), 5, "the paper evaluates exactly five schemes");
-    let labels: std::collections::HashSet<_> = all.iter().map(|k| k.label()).collect();
+    let labels: std::collections::BTreeSet<_> = all.iter().map(|k| k.label()).collect();
     assert_eq!(labels.len(), 5, "scheme labels must be distinct");
     for expected in ["Baseline", "i-ISPE", "DPES", "AERO_CONS", "AERO"] {
         assert!(
