@@ -104,21 +104,6 @@ impl Aero {
         Aero::with_ept(&ChipFamily::tlc_3d_48l(), Ept::paper_table1(), false)
     }
 
-    /// The aggressive variant for an arbitrary chip family, with the EPT
-    /// derived from the family's model and the given ECC requirement.
-    pub fn aggressive_for(family: &ChipFamily, ecc: &aero_nand::EccConfig) -> Self {
-        Aero::with_ept(family, Ept::derive(family, ecc), true)
-    }
-
-    /// The conservative variant for an arbitrary chip family.
-    pub fn conservative_for(family: &ChipFamily) -> Self {
-        Aero::with_ept(
-            family,
-            Ept::derive(family, &aero_nand::EccConfig::paper_default()),
-            false,
-        )
-    }
-
     /// Injects artificial mispredictions at the given rate (Figure 16).
     ///
     /// # Panics

@@ -97,11 +97,6 @@ impl EraseReport {
     pub fn n_loops(&self) -> u32 {
         self.loops.len() as u32
     }
-
-    /// Fail-bit count reported by the final verify-read step.
-    pub fn final_fail_bits(&self) -> Option<u64> {
-        self.loops.last().map(|o| o.fail_bits)
-    }
 }
 
 /// Result of a page read.
@@ -508,12 +503,6 @@ impl Chip {
     /// True if an erase is currently in flight for the block.
     pub fn erase_in_flight(&self, block: BlockAddr) -> bool {
         self.active_erases.contains_key(&block)
-    }
-
-    /// Ground-truth residual dose of an in-flight erase (test/characterization
-    /// hook; real firmware cannot observe this).
-    pub fn erase_remaining_dose(&self, block: BlockAddr) -> Option<f64> {
-        self.active_erases.get(&block).map(|e| e.remaining_dose())
     }
 
     // ------------------------------------------------------------------

@@ -118,11 +118,6 @@ impl ChipGeometry {
         self.planes as u64 * self.blocks_per_plane as u64
     }
 
-    /// Total number of pages on the chip.
-    pub fn total_pages(&self) -> u64 {
-        self.total_blocks() * self.pages_per_block as u64
-    }
-
     /// Capacity of a block in bytes.
     pub fn block_size_bytes(&self) -> u64 {
         self.pages_per_block as u64 * self.page_size_bytes as u64

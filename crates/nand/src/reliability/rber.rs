@@ -92,13 +92,6 @@ impl RberModel {
             .max(0.0)
     }
 
-    /// Errors attributable to insufficient erasure alone, for a given residual
-    /// dose under randomized data. Exposed so erase schemes can reason about
-    /// the ECC margin they are about to spend.
-    pub fn incomplete_erase_errors(&self, residual_units: f64) -> f64 {
-        self.params.errors_per_residual_unit * residual_units.max(0.0)
-    }
-
     /// The P/E-cycle count at which a block with the given per-cycle stress
     /// pattern crosses an error requirement. Used by lifetime studies; the
     /// caller supplies the average erase stress and program stress added per

@@ -54,19 +54,6 @@ impl Micros {
         Micros((ms * 1_000.0 * Self::TICKS_PER_US as f64).round() as u64)
     }
 
-    /// Creates a duration from fractional microseconds (rounded to 0.1 µs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `us` is negative or not finite.
-    pub fn from_micros_f64(us: f64) -> Self {
-        assert!(
-            us.is_finite() && us >= 0.0,
-            "duration must be finite and non-negative"
-        );
-        Micros((us * Self::TICKS_PER_US as f64).round() as u64)
-    }
-
     /// The duration in microseconds as a float.
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / Self::TICKS_PER_US as f64

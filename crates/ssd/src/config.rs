@@ -181,11 +181,6 @@ impl SsdConfig {
         (self.channels * self.chips_per_channel) as usize
     }
 
-    /// Physical pages per die.
-    pub fn pages_per_die(&self) -> u64 {
-        self.family.geometry.total_pages()
-    }
-
     /// Raw capacity in bytes.
     pub fn raw_capacity_bytes(&self) -> u64 {
         self.dies() as u64 * self.family.geometry.chip_size_bytes()

@@ -1,24 +1,28 @@
 //! Multi-tenant NVMe-style host interface: per-tenant submission queues,
-//! pluggable QoS arbitration, and tenant-attributed completion routing.
+//! QoS arbitration, and tenant-attributed completion routing.
 //!
 //! A [`HostInterface`] owns N submission queues, each fed by its own
-//! [`WorkloadSource`] and tagged with a [`TenantId`]. Arrivals enter their
-//! tenant's queue (bounded by a per-queue depth — a saturating tenant
-//! backpressures into its source, or sheds load under a reject policy,
-//! instead of flooding the device's in-flight slab), and an [`Arbiter`]
-//! merges the queue heads into the session event loop whenever a device
-//! slot is free. Completions are routed back to their tenant, splitting
-//! **queueing delay** (arrival → submission) from **device latency**
-//! (submission → completion); [`crate::report::TenantReport`] slices in the
-//! final [`RunReport`] carry per-tenant recorders, throughput, and
-//! rejected/deferred/high-water accounting.
+//! [`WorkloadSource`]. Arrivals enter their tenant's queue (bounded by a
+//! per-queue depth — a saturating tenant backpressures into its source, or
+//! sheds load under a reject policy, instead of flooding the device's
+//! in-flight slab), and the [`ArbiterKind`] policy merges the queue heads
+//! into the session event loop whenever a device slot is free. Completions
+//! are routed back to their tenant, splitting **queueing delay** (arrival →
+//! submission) from **device latency** (submission → completion);
+//! [`crate::report::TenantReport`] slices in the final [`RunReport`] carry
+//! per-tenant recorders, throughput, and rejected/deferred/high-water
+//! accounting.
+//!
+//! This module keeps all per-tenant state. The session only tags each
+//! request it admits from here with its tenant and queueing delay, and logs
+//! every finished one for the pump to drain.
 //!
 //! ## Determinism
 //!
-//! Arbitration decisions are functions of simulated time and queue state
-//! only — [`QueueView`] exposes nothing else — and the pump loop advances
-//! on a single merged clock, so a multi-tenant run is as deterministic as a
-//! single-stream session: byte-identical reports at any thread count.
+//! Arbitration decisions are functions of queue state only, and the pump
+//! loop advances on a single merged clock, so a multi-tenant run is as
+//! deterministic as a single-stream session: byte-identical reports at any
+//! thread count.
 //!
 //! The pump relies on the simulator's dispatch-time completion accounting:
 //! a request's `completed_at` becomes known when its last page *dispatches*,
@@ -63,13 +67,13 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use aero_workloads::request::IoRequest;
+use aero_workloads::request::{IoOp, IoRequest};
 use aero_workloads::source::WorkloadSource;
-use aero_workloads::tenant::{ArbiterKind, QueueFullPolicy, TenantId};
+use aero_workloads::tenant::{ArbiterKind, QueueFullPolicy};
 use aero_workloads::IterSource;
 
 use crate::audit::Auditor;
-use crate::report::RunReport;
+use crate::report::{RunReport, TenantReport};
 use crate::ssd::Ssd;
 
 /// Default total device slots when [`HostInterface::with_device_slots`] is
@@ -87,7 +91,7 @@ pub const DEFAULT_DEADLINE_NS: u64 = 5_000_000;
 /// Per-tenant host-interface configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantConfig {
-    /// Tenant name, carried into its [`crate::report::TenantReport`].
+    /// Tenant name, carried into its [`TenantReport`].
     pub name: String,
     /// Weighted-share arbitration weight (≥ 1).
     pub weight: u32,
@@ -143,167 +147,50 @@ impl TenantConfig {
     }
 }
 
-/// What an [`Arbiter`] sees of one tenant's queue when picking the next
-/// submission: simulated-time and queue-state facts only, so policies are
-/// deterministic by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueView {
-    /// The tenant this queue belongs to.
-    pub tenant: TenantId,
-    /// The tenant's configured weight.
-    pub weight: u32,
-    /// Requests waiting in the submission queue.
-    pub pending: usize,
-    /// Requests this tenant currently has outstanding on the device.
-    pub outstanding: usize,
-    /// Requests this tenant has submitted to the device so far.
-    pub submitted: u64,
-    /// Arrival time of the queue head (`None` when the queue is empty).
-    pub head_arrival_ns: Option<u64>,
-    /// Deadline of the queue head: its arrival plus the tenant's deadline
-    /// offset (`None` when the queue is empty).
-    pub head_deadline_ns: Option<u64>,
-}
-
-/// A queue-arbitration policy: given the current simulated time and every
-/// tenant's [`QueueView`], picks which queue submits next (an index into
-/// the slice), or `None` when no queue has pending work.
-///
-/// Implementations must derive their decision from the arguments alone —
-/// no wall clocks, no randomness — to preserve the determinism contract.
-pub trait Arbiter {
-    /// Picks the next queue to submit from, or `None` if none is eligible.
-    fn pick(&mut self, now_ns: u64, queues: &[QueueView]) -> Option<usize>;
-
-    /// Short label used in tables and reports.
-    fn label(&self) -> &'static str;
-}
-
-/// Round-robin arbitration: cycles through the non-empty queues in tenant
-/// order, resuming after the last pick. Equal-rate tenants are served
-/// within ±1 request of each other.
-#[derive(Debug, Default, Clone)]
-pub struct RoundRobin {
-    next: usize,
-}
-
-impl RoundRobin {
-    /// A round-robin arbiter starting at tenant 0.
-    pub fn new() -> RoundRobin {
-        RoundRobin::default()
-    }
-}
-
-impl Arbiter for RoundRobin {
-    fn pick(&mut self, _now_ns: u64, queues: &[QueueView]) -> Option<usize> {
-        let n = queues.len();
-        for offset in 0..n {
-            let i = (self.next + offset) % n;
-            if queues[i].pending > 0 {
-                self.next = (i + 1) % n;
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    fn label(&self) -> &'static str {
-        ArbiterKind::RoundRobin.label()
-    }
-}
-
-/// Weighted-share arbitration: picks the eligible tenant with the smallest
-/// virtual time `submitted / weight`, so device submissions divide
-/// proportionally to the configured weights. Ties go to the lowest tenant
-/// index. The comparison cross-multiplies in `u128`, so no division and no
-/// overflow for any realistic submission count.
-#[derive(Debug, Default, Clone)]
-pub struct WeightedShare;
-
-impl WeightedShare {
-    /// A weighted-share arbiter.
-    pub fn new() -> WeightedShare {
-        WeightedShare
-    }
-}
-
-impl Arbiter for WeightedShare {
-    fn pick(&mut self, _now_ns: u64, queues: &[QueueView]) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, q) in queues.iter().enumerate() {
-            if q.pending == 0 {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    // q.submitted / q.weight < best.submitted / best.weight
-                    let lhs = u128::from(q.submitted) * u128::from(queues[b].weight.max(1));
-                    let rhs = u128::from(queues[b].submitted) * u128::from(q.weight.max(1));
-                    lhs < rhs
-                }
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-        best
-    }
-
-    fn label(&self) -> &'static str {
-        ArbiterKind::WeightedShare.label()
-    }
-}
-
-/// Earliest-deadline-first arbitration: picks the eligible queue whose head
-/// has the earliest deadline (arrival plus the tenant's deadline offset).
-/// Ties go to the lowest tenant index. A latency-sensitive tenant with a
-/// tight deadline preempts bulk traffic whenever both have work queued.
-#[derive(Debug, Default, Clone)]
-pub struct EarliestDeadline;
-
-impl EarliestDeadline {
-    /// An earliest-deadline-first arbiter.
-    pub fn new() -> EarliestDeadline {
-        EarliestDeadline
-    }
-}
-
-impl Arbiter for EarliestDeadline {
-    fn pick(&mut self, _now_ns: u64, queues: &[QueueView]) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
-        for (i, q) in queues.iter().enumerate() {
-            if q.pending == 0 {
-                continue;
-            }
-            let deadline = q.head_deadline_ns.unwrap_or(u64::MAX);
-            let better = match best {
-                None => true,
-                Some((best_deadline, _)) => deadline < best_deadline,
-            };
-            if better {
-                best = Some((deadline, i));
-            }
-        }
-        best.map(|(_, i)| i)
-    }
-
-    fn label(&self) -> &'static str {
-        ArbiterKind::EarliestDeadline.label()
-    }
-}
-
-/// Builds the boxed arbiter for a policy name.
-pub fn build_arbiter(kind: ArbiterKind) -> Box<dyn Arbiter> {
+/// Picks the queue that submits next under `kind`, or `None` when every
+/// queue is empty. `cursor` is round-robin's resume point.
+fn pick(kind: ArbiterKind, cursor: &mut usize, queues: &[TenantQueue<'_>]) -> Option<usize> {
     match kind {
-        ArbiterKind::RoundRobin => Box::new(RoundRobin::new()),
-        ArbiterKind::WeightedShare => Box::new(WeightedShare::new()),
-        ArbiterKind::EarliestDeadline => Box::new(EarliestDeadline::new()),
+        // Resume after the last pick, so equal-rate tenants are served
+        // within ±1 request of each other.
+        ArbiterKind::RoundRobin => {
+            let n = queues.len();
+            let i = (0..n)
+                .map(|offset| (*cursor + offset) % n)
+                .find(|&i| !queues[i].pending.is_empty())?;
+            *cursor = (i + 1) % n;
+            Some(i)
+        }
+        // The smallest virtual time `submitted / weight`, compared as
+        // cross-products in `u128`: no division and no overflow for any
+        // realistic submission count. `min_by` keeps the first of equals,
+        // so ties go to the lower index.
+        ArbiterKind::WeightedShare => queues
+            .iter()
+            .enumerate()
+            .filter(|(_, q)| !q.pending.is_empty())
+            .min_by(|(_, a), (_, b)| {
+                let a_share = u128::from(a.report.submitted) * u128::from(b.config.weight.max(1));
+                let b_share = u128::from(b.report.submitted) * u128::from(a.config.weight.max(1));
+                a_share.cmp(&b_share)
+            })
+            .map(|(i, _)| i),
+        // The earliest head deadline (arrival plus the tenant's offset);
+        // ties go to the lower index.
+        ArbiterKind::EarliestDeadline => queues
+            .iter()
+            .enumerate()
+            .filter_map(|(i, q)| {
+                let head = q.pending.front()?;
+                Some((head.arrival_ns.saturating_add(q.config.deadline_ns), i))
+            })
+            .min()
+            .map(|(_, i)| i),
     }
 }
 
 /// One tenant's host-side state: its source, bounded submission queue, and
-/// accounting.
+/// the report slice it accumulates.
 struct TenantQueue<'w> {
     config: TenantConfig,
     source: Box<dyn WorkloadSource + 'w>,
@@ -315,12 +202,8 @@ struct TenantQueue<'w> {
     pending: VecDeque<IoRequest>,
     /// Requests currently outstanding on the device.
     outstanding: usize,
-    submitted: u64,
-    completed: u64,
-    rejected: u64,
-    deferred: u64,
-    queue_depth_high_water: u64,
-    outstanding_high_water: u64,
+    /// Counts and recorders, filled in as the run goes.
+    report: TenantReport,
 }
 
 impl TenantQueue<'_> {
@@ -348,42 +231,21 @@ impl TenantQueue<'_> {
         self.pending.len() < self.config.queue_depth
             || self.config.on_full == QueueFullPolicy::Reject
     }
-
-    /// The queue-state facts an [`Arbiter`] is allowed to see.
-    fn view(&self, tenant: TenantId) -> QueueView {
-        QueueView {
-            tenant,
-            weight: self.config.weight,
-            pending: self.pending.len(),
-            outstanding: self.outstanding,
-            submitted: self.submitted,
-            head_arrival_ns: self.pending.front().map(|r| r.arrival_ns),
-            head_deadline_ns: self
-                .pending
-                .front()
-                .map(|r| r.arrival_ns.saturating_add(self.config.deadline_ns)),
-        }
-    }
 }
 
 /// The multi-tenant host interface: N submission queues merged into one
-/// simulated drive through a pluggable [`Arbiter`]. See the [module
+/// simulated drive by an [`ArbiterKind`] policy. See the [module
 /// docs](crate::host) for the model and a usage example.
 pub struct HostInterface<'w> {
     queues: Vec<TenantQueue<'w>>,
-    arbiter: Box<dyn Arbiter>,
+    arbiter: ArbiterKind,
     device_slots: usize,
 }
 
 impl<'w> HostInterface<'w> {
-    /// A host interface running one of the built-in arbitration policies
-    /// with [`DEFAULT_DEVICE_SLOTS`] device slots and no tenants yet.
-    pub fn new(kind: ArbiterKind) -> HostInterface<'w> {
-        HostInterface::with_arbiter(build_arbiter(kind))
-    }
-
-    /// A host interface running a custom arbitration policy.
-    pub fn with_arbiter(arbiter: Box<dyn Arbiter>) -> HostInterface<'w> {
+    /// A host interface running one of the arbitration policies with
+    /// [`DEFAULT_DEVICE_SLOTS`] device slots and no tenants yet.
+    pub fn new(arbiter: ArbiterKind) -> HostInterface<'w> {
         HostInterface {
             queues: Vec::new(),
             arbiter,
@@ -401,15 +263,13 @@ impl<'w> HostInterface<'w> {
     }
 
     /// Registers a tenant: its queue configuration plus the workload source
-    /// feeding its submission queue. Returns the tenant's id (dense, in
-    /// registration order — it doubles as the index into
-    /// [`RunReport::tenants`]).
-    pub fn add_tenant(
-        &mut self,
-        config: TenantConfig,
-        source: impl WorkloadSource + 'w,
-    ) -> TenantId {
-        let id = TenantId(self.queues.len() as u16);
+    /// feeding its submission queue. Tenants are reported in
+    /// [`RunReport::tenants`] in registration order.
+    pub fn add_tenant(&mut self, config: TenantConfig, source: impl WorkloadSource + 'w) {
+        let report = TenantReport {
+            name: config.name.clone(),
+            ..TenantReport::default()
+        };
         self.queues.push(TenantQueue {
             config,
             source: Box::new(source),
@@ -417,14 +277,8 @@ impl<'w> HostInterface<'w> {
             exhausted: false,
             pending: VecDeque::new(),
             outstanding: 0,
-            submitted: 0,
-            completed: 0,
-            rejected: 0,
-            deferred: 0,
-            queue_depth_high_water: 0,
-            outstanding_high_water: 0,
+            report,
         });
-        id
     }
 
     /// Builder-style [`HostInterface::add_tenant`].
@@ -454,21 +308,17 @@ impl<'w> HostInterface<'w> {
     /// invariant checkpoints on its cadence, exactly as a single-stream
     /// session would.
     pub fn run_with(mut self, ssd: &mut Ssd, auditor: Option<&mut Auditor>) -> RunReport {
-        let tenant_count = self.queues.len();
         // The session itself is sourceless: every request goes in through
         // admit_from_host at the host's submission clock.
         let mut sim = ssd.session(IterSource::new(std::iter::empty()));
-        sim.enable_tenant_tracking(tenant_count);
         if let Some(auditor) = auditor {
             sim.attach_auditor(auditor);
         }
 
-        // Completions the device has revealed (recorded at dispatch time)
+        // Completions the device has revealed (logged at dispatch time)
         // but the host has not yet retired, ordered by completion time.
         let mut completions: BinaryHeap<Reverse<(u64, u16)>> = BinaryHeap::new();
-        let mut drained: Vec<(u64, u16)> = Vec::new();
-        // The arbiter's view of every queue, refilled in place each round.
-        let mut views: Vec<QueueView> = Vec::with_capacity(tenant_count);
+        let mut cursor = 0;
         let mut outstanding_total = 0usize;
 
         loop {
@@ -484,37 +334,41 @@ impl<'w> HostInterface<'w> {
                     next_host = Some(next_host.map_or(at, |t| t.min(at)));
                 }
             }
-            let Some(t) = next_host else {
-                if outstanding_total == 0 {
-                    // Sources drained, queues empty, nothing outstanding.
-                    break;
+            if let Some(t) = next_host {
+                // Let the device catch up: after processing every internal
+                // event strictly before t, all completions at or before t
+                // are known (completed_at is logged at dispatch, which
+                // precedes it). At t = 0 there is no such event, and
+                // run_until(0) would run events at 0 ahead of submissions.
+                if t > 0 {
+                    sim.run_until(t - 1);
                 }
+            } else if outstanding_total == 0 {
+                // Sources drained, queues empty, nothing outstanding.
+                break;
+            } else if !sim.step() {
                 // Backpressured everywhere with no known completion yet:
-                // advance the device until it reveals one (dispatch of the
-                // oldest outstanding request is always reachable).
-                if !sim.step() {
-                    break;
+                // the device advances one event per pass until it reveals
+                // one (dispatch of the oldest outstanding request is
+                // always reachable).
+                break;
+            }
+            // Attribute the newly revealed completions to their tenants.
+            for done in sim.drain_host_completions() {
+                let slice = &mut self.queues[usize::from(done.tenant)].report;
+                match done.op {
+                    IoOp::Read => slice.reads_completed += 1,
+                    IoOp::Write => slice.writes_completed += 1,
                 }
-                sim.drain_host_completions(&mut drained);
-                for &(at, tenant) in &drained {
-                    completions.push(Reverse((at, tenant)));
-                }
-                drained.clear();
+                slice
+                    .latency
+                    .record(done.device_ns.saturating_add(done.queued_ns));
+                slice.queue_delay.record(done.queued_ns);
+                completions.push(Reverse((done.completed_at, done.tenant)));
+            }
+            let Some(t) = next_host else {
                 continue;
             };
-
-            // Let the device catch up: after processing every internal
-            // event strictly before t, all completions at or before t are
-            // known (completed_at is recorded at dispatch, which precedes
-            // it).
-            while sim.next_event_at().is_some_and(|at| at < t) {
-                sim.step();
-                sim.drain_host_completions(&mut drained);
-                for &(at, tenant) in &drained {
-                    completions.push(Reverse((at, tenant)));
-                }
-                drained.clear();
-            }
 
             // Retire completions due at t, freeing their device slots.
             while let Some(&Reverse((at, tenant))) = completions.peek() {
@@ -522,9 +376,8 @@ impl<'w> HostInterface<'w> {
                     break;
                 }
                 completions.pop();
-                let queue = &mut self.queues[tenant as usize];
+                let queue = &mut self.queues[usize::from(tenant)];
                 queue.outstanding = queue.outstanding.saturating_sub(1);
-                queue.completed += 1;
                 outstanding_total = outstanding_total.saturating_sub(1);
             }
 
@@ -535,29 +388,21 @@ impl<'w> HostInterface<'w> {
                 let mut progressed = false;
                 // Arbitrate pending requests into free device slots.
                 while outstanding_total < self.device_slots {
-                    views.clear();
-                    views.extend(
-                        self.queues
-                            .iter()
-                            .enumerate()
-                            .map(|(i, q)| q.view(TenantId(i as u16))),
-                    );
-                    let Some(pick) = self.arbiter.pick(t, &views) else {
+                    let Some(index) = pick(self.arbiter, &mut cursor, &self.queues) else {
                         break;
                     };
-                    let Some(queue) = self.queues.get_mut(pick) else {
-                        debug_assert!(false, "arbiter picked tenant {pick} of {tenant_count}");
-                        break;
-                    };
+                    let queue = &mut self.queues[index];
                     let Some(request) = queue.pending.pop_front() else {
                         debug_assert!(false, "arbiter picked an empty queue");
                         break;
                     };
-                    sim.admit_from_host(request, pick as u16, t);
+                    sim.admit_from_host(request, index as u16, t);
                     queue.outstanding += 1;
-                    queue.submitted += 1;
-                    queue.outstanding_high_water =
-                        queue.outstanding_high_water.max(queue.outstanding as u64);
+                    queue.report.submitted += 1;
+                    queue.report.outstanding_high_water = queue
+                        .report
+                        .outstanding_high_water
+                        .max(queue.outstanding as u64);
                     outstanding_total += 1;
                     progressed = true;
                 }
@@ -573,15 +418,17 @@ impl<'w> HostInterface<'w> {
                             };
                             if request.arrival_ns < t {
                                 // It waited for a queue credit.
-                                queue.deferred += 1;
+                                queue.report.deferred += 1;
                             }
                             queue.pending.push_back(request);
-                            queue.queue_depth_high_water =
-                                queue.queue_depth_high_water.max(queue.pending.len() as u64);
+                            queue.report.queue_depth_high_water = queue
+                                .report
+                                .queue_depth_high_water
+                                .max(queue.pending.len() as u64);
                             progressed = true;
                         } else if queue.config.on_full == QueueFullPolicy::Reject {
                             if queue.pull().is_some() {
-                                queue.rejected += 1;
+                                queue.report.rejected += 1;
                                 progressed = true;
                             }
                         } else {
@@ -599,23 +446,21 @@ impl<'w> HostInterface<'w> {
         debug_assert_eq!(outstanding_total, 0, "pump exited with requests in flight");
 
         // Everything submitted; let the drive finish internal work (GC,
-        // erases) and take the final report, then fill in the host-side
-        // half of each tenant slice.
+        // erases), then hand the tenant slices to the final report.
         let mut report = sim.run_to_end();
-        for (slot, queue) in self.queues.iter().enumerate() {
-            debug_assert_eq!(
-                queue.completed, queue.submitted,
-                "tenant {slot}: submitted requests must all complete"
-            );
-            if let Some(tenant_report) = report.tenants.get_mut(slot) {
-                tenant_report.name = queue.config.name.clone();
-                tenant_report.submitted = queue.submitted;
-                tenant_report.rejected = queue.rejected;
-                tenant_report.deferred = queue.deferred;
-                tenant_report.queue_depth_high_water = queue.queue_depth_high_water;
-                tenant_report.outstanding_high_water = queue.outstanding_high_water;
-            }
-        }
+        report.tenants = self
+            .queues
+            .into_iter()
+            .map(|queue| {
+                debug_assert_eq!(
+                    queue.report.completed(),
+                    queue.report.submitted,
+                    "{}: submitted requests must all complete",
+                    queue.report.name
+                );
+                queue.report
+            })
+            .collect();
         report
     }
 }
@@ -625,63 +470,77 @@ mod tests {
     use super::*;
     use crate::config::SsdConfig;
     use aero_core::SchemeKind;
-    use aero_workloads::request::IoOp;
     use aero_workloads::SyntheticWorkload;
 
-    fn view(tenant: u16, weight: u32, pending: usize, submitted: u64) -> QueueView {
-        QueueView {
-            tenant: TenantId(tenant),
-            weight,
-            pending,
-            outstanding: 0,
-            submitted,
-            head_arrival_ns: Some(0),
-            head_deadline_ns: Some(0),
+    /// A host interface of `weights.len()` tenants with no sources, whose
+    /// queues the arbitration tests fill by hand.
+    fn idle_host(weights: &[u32]) -> HostInterface<'static> {
+        let mut host = HostInterface::new(ArbiterKind::RoundRobin);
+        for (i, &weight) in weights.iter().enumerate() {
+            host.add_tenant(
+                TenantConfig::new(&format!("t{i}")).with_weight(weight),
+                IterSource::new(std::iter::empty()),
+            );
         }
+        host
+    }
+
+    /// Sets a queue's backlog to `pending` reads arriving at time 0.
+    fn backlog(queue: &mut TenantQueue<'_>, pending: usize) {
+        let read = IoRequest {
+            arrival_ns: 0,
+            op: IoOp::Read,
+            lba: 0,
+            size_bytes: 4096,
+        };
+        queue.pending = std::iter::repeat_n(read, pending).collect();
     }
 
     /// Round-robin over always-busy equal tenants serves them within ±1
     /// request at every prefix of the pick sequence.
     #[test]
     fn round_robin_is_fair_within_one_request() {
-        let mut arbiter = RoundRobin::new();
-        let mut counts = [0u64; 3];
+        let mut host = idle_host(&[1, 1, 1]);
+        host.queues.iter_mut().for_each(|q| backlog(q, 5));
+        let mut cursor = 0;
         for _ in 0..301 {
-            let views: Vec<QueueView> = (0..3).map(|i| view(i, 1, 5, counts[i as usize])).collect();
-            let pick = arbiter.pick(0, &views).expect("queues are non-empty");
-            counts[pick] += 1;
-            let max = counts.iter().max().unwrap();
-            let min = counts.iter().min().unwrap();
-            assert!(max - min <= 1, "unfair prefix: {counts:?}");
+            let pick = pick(ArbiterKind::RoundRobin, &mut cursor, &host.queues)
+                .expect("queues are non-empty");
+            host.queues[pick].report.submitted += 1;
+            let counts = host.queues.iter().map(|q| q.report.submitted);
+            let max = counts.clone().max().unwrap();
+            let min = counts.min().unwrap();
+            assert!(max - min <= 1, "unfair prefix: {max} vs {min}");
         }
-        assert_eq!(counts.iter().sum::<u64>(), 301);
+        let total: u64 = host.queues.iter().map(|q| q.report.submitted).sum();
+        assert_eq!(total, 301);
     }
 
     /// Round-robin skips empty queues without losing its cursor fairness.
     #[test]
     fn round_robin_skips_empty_queues() {
-        let mut arbiter = RoundRobin::new();
-        let views = vec![view(0, 1, 0, 0), view(1, 1, 1, 0), view(2, 1, 0, 0)];
-        assert_eq!(arbiter.pick(0, &views), Some(1));
-        assert_eq!(arbiter.pick(0, &views), Some(1));
-        let empty = vec![view(0, 1, 0, 0)];
-        assert_eq!(arbiter.pick(0, &empty), None);
+        let mut host = idle_host(&[1, 1, 1]);
+        backlog(&mut host.queues[1], 1);
+        let (kind, mut cursor) = (ArbiterKind::RoundRobin, 0);
+        assert_eq!(pick(kind, &mut cursor, &host.queues), Some(1));
+        assert_eq!(pick(kind, &mut cursor, &host.queues), Some(1));
+        let empty = idle_host(&[1]);
+        assert_eq!(pick(kind, &mut cursor, &empty.queues), None);
     }
 
     /// Weighted share converges to the exact weight ratio when every queue
     /// always has work: with weights 3:1, 400 picks split 300/100.
     #[test]
     fn weighted_share_converges_to_weight_ratio() {
-        let mut arbiter = WeightedShare::new();
-        let weights = [3u32, 1];
-        let mut submitted = [0u64; 2];
+        let mut host = idle_host(&[3, 1]);
+        host.queues.iter_mut().for_each(|q| backlog(q, 5));
+        let mut cursor = 0;
         for _ in 0..400 {
-            let views: Vec<QueueView> = (0..2)
-                .map(|i| view(i as u16, weights[i], 5, submitted[i]))
-                .collect();
-            let pick = arbiter.pick(0, &views).expect("queues are non-empty");
-            submitted[pick] += 1;
+            let pick = pick(ArbiterKind::WeightedShare, &mut cursor, &host.queues)
+                .expect("queues are non-empty");
+            host.queues[pick].report.submitted += 1;
         }
+        let submitted: Vec<u64> = host.queues.iter().map(|q| q.report.submitted).collect();
         assert_eq!(submitted, [300, 100]);
     }
 
@@ -689,17 +548,17 @@ mod tests {
     /// breaking ties toward the lower tenant index.
     #[test]
     fn earliest_deadline_orders_by_deadline() {
-        let mut arbiter = EarliestDeadline::new();
-        let mut a = view(0, 1, 1, 0);
-        a.head_deadline_ns = Some(9_000);
-        let mut b = view(1, 1, 1, 0);
-        b.head_deadline_ns = Some(2_000);
-        let mut c = view(2, 1, 1, 0);
-        c.head_deadline_ns = Some(2_000);
-        assert_eq!(arbiter.pick(0, &[a, b, c]), Some(1), "earliest deadline");
-        let mut empty = view(0, 1, 0, 0);
-        empty.head_deadline_ns = None;
-        assert_eq!(arbiter.pick(0, &[empty, c]), Some(1), "skips empty");
+        let mut host = idle_host(&[1, 1, 1]);
+        for (queue, deadline_ns) in host.queues.iter_mut().zip([9_000, 2_000, 2_000]) {
+            backlog(queue, 1);
+            queue.config.deadline_ns = deadline_ns;
+        }
+        let (kind, mut cursor) = (ArbiterKind::EarliestDeadline, 0);
+        let first = pick(kind, &mut cursor, &host.queues);
+        assert_eq!(first, Some(1), "earliest deadline");
+        backlog(&mut host.queues[0], 0);
+        let first = pick(kind, &mut cursor, &host.queues[..2]);
+        assert_eq!(first, Some(1), "skips empty");
     }
 
     fn mixed_workload() -> SyntheticWorkload {

@@ -90,11 +90,11 @@
 //! The [`host`] module multiplexes several tenants onto one drive the way
 //! an NVMe host does: a [`host::HostInterface`] owns per-tenant submission
 //! queues (each fed by its own workload source, bounded by a per-queue
-//! depth) and merges them into the session event loop through a pluggable
-//! [`host::Arbiter`] — round-robin, weighted-share, or earliest-deadline.
-//! Completions are attributed back to their tenant with queueing delay
-//! split from device latency, filling the per-tenant
-//! [`report::TenantReport`] slices of the final [`RunReport`].
+//! depth) and merges them into the session event loop under one of three
+//! [`aero_workloads::tenant::ArbiterKind`] policies — round-robin,
+//! weighted-share, or earliest-deadline. Completions are attributed back to
+//! their tenant with queueing delay split from device latency, filling the
+//! per-tenant [`report::TenantReport`] slices of the final [`RunReport`].
 
 #![warn(missing_docs)]
 
@@ -111,7 +111,7 @@ pub mod ssd;
 
 pub use audit::{AuditReport, Auditor, Invariant, ShadowFtl, Violation};
 pub use config::SsdConfig;
-pub use host::{Arbiter, HostInterface, QueueView, TenantConfig};
+pub use host::{HostInterface, TenantConfig};
 pub use latency::{LatencyRecorder, TailLatencies};
 pub use persist::{
     apply_torn_write, PersistError, TornWrite, CHECKSUM_BYTES, FORMAT_VERSION, HEADER_BYTES, MAGIC,

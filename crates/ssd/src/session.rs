@@ -68,7 +68,7 @@ use aero_workloads::source::WorkloadSource;
 use crate::audit::{record, AuditReport, Auditor, Invariant, Violation};
 use crate::ftl::Ppa;
 use crate::latency::LatencyRecorder;
-use crate::report::{ChannelStats, DriveHealth, RunReport, TenantReport};
+use crate::report::{ChannelStats, DriveHealth, RunReport};
 use crate::ssd::{DriveCounters, EraseJob, PageTxn, PlacedWrite, Ssd};
 
 /// How a request completed: normally, or degraded through the drive's
@@ -320,7 +320,7 @@ struct InFlight {
     /// `DriveReadOnly` < `MediaError`).
     status: CompletionStatus,
     /// Tenant the request is attributed to (0 for single-stream sessions,
-    /// where tenant tracking is off and the value is never read).
+    /// which keep no host completion log, so the value is never read).
     tenant: u16,
     /// Time the request spent in its host submission queue before the
     /// session saw it (0 for single-stream sessions). `arrival_ns` is the
@@ -328,16 +328,19 @@ struct InFlight {
     queued_ns: u64,
 }
 
-/// Per-tenant measurement accumulators, maintained only when the session
-/// is driven through a [`crate::host::HostInterface`].
-#[derive(Debug, Default, Clone)]
-struct TenantAccum {
-    reads_completed: u64,
-    writes_completed: u64,
-    /// End-to-end latencies: submission-queue delay + device time.
-    latency: LatencyRecorder,
-    /// Submission-queue delays alone.
-    queue_delay: LatencyRecorder,
+/// A finished request that came in through
+/// [`crate::host::HostInterface`], as logged for its pump to drain.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HostCompletion {
+    /// When the request's last page finished.
+    pub(crate) completed_at: u64,
+    /// The tenant's index on the host interface.
+    pub(crate) tenant: u16,
+    pub(crate) op: IoOp,
+    /// Submission to completion.
+    pub(crate) device_ns: u64,
+    /// Arrival at the host to submission.
+    pub(crate) queued_ns: u64,
 }
 
 /// A streaming simulation run over a borrowed [`Ssd`].
@@ -396,14 +399,13 @@ pub struct Simulation<'a, S> {
     /// Simulated time at which the drive transitioned to read-only during
     /// this run (`None` if it never did, or already was at session start).
     read_only_since_ns: Option<u64>,
-    /// Per-tenant accumulators; empty unless a host interface enabled
-    /// tenant tracking, so single-stream sessions pay nothing.
-    tenant_stats: Vec<TenantAccum>,
-    /// Completion log `(completed_at, tenant)` the host interface drains to
-    /// learn when device slots free up; only fed while tenant tracking is
-    /// on. Entries are recorded at dispatch time (when `completed_at`
-    /// becomes known), which always precedes the completion itself.
-    host_completions: Vec<(u64, u16)>,
+    /// Log of finished host requests, which the host interface drains to
+    /// attribute them and to learn when device slots free up. `None` until
+    /// the first [`Simulation::admit_from_host`], so single-stream sessions
+    /// log nothing. Entries are logged at dispatch time (when
+    /// `completed_at` becomes known), which always precedes the completion
+    /// itself.
+    host_completions: Option<Vec<HostCompletion>>,
 }
 
 impl<'a, S: WorkloadSource> Simulation<'a, S> {
@@ -442,8 +444,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
             baseline_counters,
             run_max_erase_latency: Micros::ZERO,
             read_only_since_ns: None,
-            tenant_stats: Vec::new(),
-            host_completions: Vec::new(),
+            host_completions: None,
         };
         // A completed run always drains every queue, so this only fires for
         // dies an abandoned session left mid-work; their internal traffic
@@ -840,17 +841,12 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
     /// Runs the session to completion and returns the final run-local
     /// report. Equivalent to stepping until [`Simulation::step`] returns
     /// `false`, then taking a last [`Simulation::snapshot`], except that
-    /// the latency recorders (drive-wide and per tenant) are moved into the
-    /// report instead of cloned.
+    /// the latency recorders are moved into the report instead of cloned.
     pub fn run_to_end(mut self) -> RunReport {
         while self.step() {}
         let mut report = self.report_shell();
         report.read_latency = std::mem::take(&mut self.read_latency);
         report.write_latency = std::mem::take(&mut self.write_latency);
-        for (slice, accum) in report.tenants.iter_mut().zip(&mut self.tenant_stats) {
-            slice.latency = std::mem::take(&mut accum.latency);
-            slice.queue_delay = std::mem::take(&mut accum.queue_delay);
-        }
         report
     }
 
@@ -907,11 +903,11 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
     }
 
     /// Measures an interim run-local [`RunReport`] covering everything the
-    /// session has processed so far. Every latency recorder, drive-wide
-    /// and per tenant, is cloned: a fixed-size histogram each, so the cost
-    /// does not grow with run length. Erase statistics are diffed against
-    /// the session-start baseline via [`aero_core::EraseStats::diff`],
-    /// exactly as the final report's are.
+    /// session has processed so far. Both latency recorders are cloned: a
+    /// fixed-size histogram each, so the cost does not grow with run
+    /// length. Erase statistics are diffed against the session-start
+    /// baseline via [`aero_core::EraseStats::diff`], exactly as the final
+    /// report's are.
     ///
     /// Completion accounting is **dispatch-time**, as everywhere in the
     /// simulator: a request counts as completed the moment its last page is
@@ -926,21 +922,15 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
         let mut report = self.report_shell();
         report.read_latency = self.read_latency.clone();
         report.write_latency = self.write_latency.clone();
-        for (slice, accum) in report.tenants.iter_mut().zip(&self.tenant_stats) {
-            slice.latency = accum.latency.clone();
-            slice.queue_delay = accum.queue_delay.clone();
-        }
         report
     }
 
     /// [`Simulation::snapshot`] without the latency clones: everything in a
-    /// report except the latency recorders, which are left empty in the
-    /// drive-wide fields and in every tenant slice (tenant slices still
-    /// carry their completion counts). Periodic telemetry that only needs
-    /// counters — completions, GC/erase activity, channel and health stats
-    /// — should use this with the borrowed
-    /// [`Simulation::read_latency`]/[`Simulation::write_latency`] recorders
-    /// for tails, so a snapshot window costs O(dies + channels + tenants)
+    /// report except the two latency recorders, which are left empty.
+    /// Periodic telemetry that only needs counters — completions, GC/erase
+    /// activity, channel and health stats — should use this with the
+    /// borrowed [`Simulation::read_latency`]/[`Simulation::write_latency`]
+    /// recorders for tails, so a snapshot window costs O(dies + channels)
     /// and copies no histogram.
     pub fn snapshot_shell(&self) -> RunReport {
         self.report_shell()
@@ -959,10 +949,10 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
         &self.write_latency
     }
 
-    /// Everything in a report except the latency recorders: the drive-wide
-    /// pair and each tenant slice's pair are left empty for
-    /// [`Simulation::snapshot`] to clone and [`Simulation::run_to_end`] to
-    /// move in.
+    /// Everything in a report except the latency recorders, which are left
+    /// empty for [`Simulation::snapshot`] to clone and
+    /// [`Simulation::run_to_end`] to move in. Tenant slices stay empty:
+    /// [`crate::host::HostInterface`] fills them in.
     fn report_shell(&self) -> RunReport {
         let mut erase_stats = self.ssd.controller.stats().diff(&self.baseline_erase_stats);
         // `EraseStats::diff` cannot subtract maxima; the session tracked
@@ -1005,19 +995,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                 read_only: self.ssd.read_only,
                 read_only_since_ns: self.read_only_since_ns,
             },
-            // Session-side tenant slices: completion counts only.
-            // Host-side counters (submitted/rejected/deferred, high-water
-            // marks) are filled in by the host interface, which owns the
-            // queues.
-            tenants: self
-                .tenant_stats
-                .iter()
-                .map(|accum| TenantReport {
-                    reads_completed: accum.reads_completed,
-                    writes_completed: accum.writes_completed,
-                    ..TenantReport::default()
-                })
-                .collect(),
+            tenants: Vec::new(),
         }
     }
 
@@ -1025,39 +1003,19 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
     // Host-interface plumbing (crate::host)
     // ------------------------------------------------------------------
 
-    /// Turns on per-tenant accounting for `tenants` tenants. Called once by
-    /// the host interface before any submission; from then on completions
-    /// are attributed to tenant slices and logged for the host to drain.
-    pub(crate) fn enable_tenant_tracking(&mut self, tenants: usize) {
-        self.tenant_stats = vec![TenantAccum::default(); tenants];
-    }
-
-    /// Timestamp of the next internal event (request arrival or die
-    /// wake-up), or `None` when the session is idle. The host pump uses
-    /// this to interleave device progress with its own submission clock.
-    pub(crate) fn next_event_at(&mut self) -> Option<u64> {
-        let arrival = self.peek_arrival().map(|r| r.arrival_ns);
-        let die = self.sched.peek().map(|(at, _)| at);
-        match (arrival, die) {
-            (Some(a), Some(d)) => Some(a.min(d)),
-            (Some(a), None) => Some(a),
-            (None, Some(d)) => Some(d),
-            (None, None) => None,
-        }
-    }
-
-    /// Moves the logged `(completed_at, tenant)` completion records into
-    /// `out` (appending), leaving the internal log empty.
-    pub(crate) fn drain_host_completions(&mut self, out: &mut Vec<(u64, u16)>) {
-        out.append(&mut self.host_completions);
+    /// Takes the finished host requests logged since the last drain.
+    pub(crate) fn drain_host_completions(&mut self) -> impl Iterator<Item = HostCompletion> + '_ {
+        self.host_completions
+            .iter_mut()
+            .flat_map(|log| log.drain(..))
     }
 
     /// Submits a host-queued request to the device at `submit_ns`. The
     /// request's original `arrival_ns` is when it entered its submission
-    /// queue; the gap to `submit_ns` is recorded as queueing delay and the
-    /// request is admitted as if it arrived at submission time, so the
-    /// drive-wide recorders measure pure device latency while the tenant
-    /// slice gets the end-to-end number.
+    /// queue; the gap to `submit_ns` is its queueing delay and the request
+    /// is admitted as if it arrived at submission time, so the drive-wide
+    /// recorders measure pure device latency. Its completion is logged for
+    /// [`Simulation::drain_host_completions`].
     pub(crate) fn admit_from_host(&mut self, mut request: IoRequest, tenant: u16, submit_ns: u64) {
         debug_assert!(
             submit_ns >= request.arrival_ns,
@@ -1066,6 +1024,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
         let queued_ns = submit_ns.saturating_sub(request.arrival_ns);
         request.arrival_ns = submit_ns;
         self.now = self.now.max(submit_ns);
+        self.host_completions.get_or_insert_with(Vec::new);
         self.admit_tagged(request, tenant, queued_ns);
     }
 
@@ -1596,17 +1555,14 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                 self.write_latency.record(latency);
             }
         }
-        if let Some(accum) = self.tenant_stats.get_mut(state.tenant as usize) {
-            match state.op {
-                IoOp::Read => accum.reads_completed += 1,
-                IoOp::Write => accum.writes_completed += 1,
-            }
-            accum
-                .latency
-                .record(latency.saturating_add(state.queued_ns));
-            accum.queue_delay.record(state.queued_ns);
-            self.host_completions
-                .push((state.completed_at, state.tenant));
+        if let Some(log) = &mut self.host_completions {
+            log.push(HostCompletion {
+                completed_at: state.completed_at,
+                tenant: state.tenant,
+                op: state.op,
+                device_ns: latency,
+                queued_ns: state.queued_ns,
+            });
         }
         self.makespan_ns = self.makespan_ns.max(state.completed_at);
         if !self.observers.is_empty() {
@@ -1859,52 +1815,6 @@ mod tests {
             final_report, reference,
             "snapshots must not perturb the simulation"
         );
-    }
-
-    /// Tenant recorders follow the drive-wide pair: `snapshot_shell`
-    /// leaves them empty (the slices keep their completion counts),
-    /// `snapshot` clones them in full, and `run_to_end` hands them over
-    /// with one sample per completed request.
-    #[test]
-    fn tenant_recorders_are_cloned_by_snapshot_and_moved_at_the_end() {
-        const QUEUED_NS: u64 = 3_000;
-        let trace = SyntheticWorkload::default_test().generate(600, 17);
-        let mut ssd = Ssd::new(SsdConfig::small_test(SchemeKind::Aero).with_seed(4));
-        ssd.fill_fraction(0.5);
-        let mut sim = ssd.session(IterSource::new(std::iter::empty()));
-        sim.enable_tenant_tracking(2);
-        for (i, request) in trace.iter().enumerate() {
-            let submit_ns = request.arrival_ns + QUEUED_NS;
-            while sim.next_event_at().is_some_and(|at| at < submit_ns) {
-                sim.step();
-            }
-            sim.admit_from_host(*request, (i % 2) as u16, submit_ns);
-            if i != 400 {
-                continue;
-            }
-            let shell = sim.snapshot_shell();
-            let full = sim.snapshot();
-            assert_eq!(shell.tenants.len(), 2);
-            for (slot, accum) in sim.tenant_stats.iter().enumerate() {
-                let (light, owned) = (&shell.tenants[slot], &full.tenants[slot]);
-                assert!(light.completed() > 0, "tenant {slot} has completions");
-                assert_eq!(light.completed(), owned.completed());
-                assert!(light.latency.is_empty() && light.queue_delay.is_empty());
-                assert_eq!(owned.latency, accum.latency);
-                assert_eq!(owned.queue_delay, accum.queue_delay);
-                assert_eq!(owned.latency.len() as u64, owned.completed());
-            }
-        }
-        let report = sim.run_to_end();
-        let mut completed = 0;
-        for slice in &report.tenants {
-            assert_eq!(slice.latency.len() as u64, slice.completed());
-            assert_eq!(slice.queue_delay.len() as u64, slice.completed());
-            assert_eq!(slice.queue_delay.max(), QUEUED_NS);
-            assert_eq!(slice.queue_delay.percentile(1.0), QUEUED_NS);
-            completed += slice.completed();
-        }
-        assert_eq!(completed, 600);
     }
 
     /// `step` processes exactly one event at a time and ends exactly when

@@ -22,9 +22,8 @@
 //! * [`fuzz`] — deterministic seeded scenario generation (schemes ×
 //!   layouts × wear × multi-phase sessions × multi-tenant plans) for the
 //!   simulator's audit-driven scenario fuzzer;
-//! * [`tenant`] — multi-tenant tagging and policy descriptions
-//!   ([`TenantId`], [`ArbiterKind`], [`QueueFullPolicy`]) consumed by the
-//!   simulator's host-interface layer.
+//! * [`tenant`] — multi-tenant policy descriptions ([`ArbiterKind`],
+//!   [`QueueFullPolicy`]) consumed by the simulator's host-interface layer.
 //!
 //! Workloads can be **materialized** (a [`Trace`] holding every request) or
 //! **streamed** (a [`WorkloadSource`] yielding requests one at a time with
@@ -58,4 +57,4 @@ pub use fuzz::{CrashPlan, FuzzScenario, MultiTenantPlan, PhasePlan, SessionPlan,
 pub use request::{IoOp, IoRequest, Trace};
 pub use source::{IterSource, TraceSource, WorkloadSource};
 pub use synth::{SyntheticStream, SyntheticWorkload};
-pub use tenant::{ArbiterKind, QueueFullPolicy, TenantId};
+pub use tenant::{ArbiterKind, QueueFullPolicy};

@@ -1,30 +1,15 @@
-//! Multi-tenant workload tagging: tenant identities and host-interface
-//! policy descriptions.
+//! Multi-tenant host-interface policy descriptions.
 //!
 //! A real drive serves many tenants multiplexed onto one device through
 //! per-tenant NVMe submission queues. This module holds the *descriptive*
-//! half of that picture — the [`TenantId`] a request stream is tagged with,
-//! the [`ArbiterKind`] naming a queue-arbitration policy, and the
-//! [`QueueFullPolicy`] describing what happens when a tenant saturates its
-//! submission queue — so workload generators and the scenario fuzzer can
-//! talk about multi-tenant plans without depending on the simulator. The
-//! executable half (the `HostInterface` that owns the queues and merges
-//! them into a session) lives in `aero_ssd::host`.
+//! half of that picture — the [`ArbiterKind`] naming a queue-arbitration
+//! policy, and the [`QueueFullPolicy`] describing what happens when a
+//! tenant saturates its submission queue — so workload generators and the
+//! scenario fuzzer can talk about multi-tenant plans without depending on
+//! the simulator. The executable half (the `HostInterface` that owns the
+//! queues and merges them into a session) lives in `aero_ssd::host`.
 
 use std::fmt;
-
-/// Identifies one tenant (one submission queue) on a host interface.
-///
-/// Ids are dense indices handed out in tenant-registration order, so they
-/// double as indices into per-tenant report slices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TenantId(pub u16);
-
-impl fmt::Display for TenantId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "tenant{}", self.0)
-    }
-}
 
 /// The queue-arbitration policies a host interface can run.
 ///
@@ -85,13 +70,6 @@ pub enum QueueFullPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tenant_ids_format_and_order() {
-        assert_eq!(TenantId(0).to_string(), "tenant0");
-        assert_eq!(TenantId(7).to_string(), "tenant7");
-        assert!(TenantId(1) < TenantId(2));
-    }
 
     #[test]
     fn arbiter_kinds_have_distinct_labels() {

@@ -9,7 +9,7 @@
 
 use aero::core::SchemeKind;
 use aero::ssd::audit::Auditor;
-use aero::ssd::{HostInterface, RunReport, Ssd, SsdConfig, TenantConfig};
+use aero::ssd::{HostInterface, LatencyRecorder, RunReport, Ssd, SsdConfig, TenantConfig};
 use aero::workloads::{ArbiterKind, IterSource, QueueFullPolicy, SyntheticWorkload};
 
 /// A read-heavy tenant workload with a small footprint.
@@ -81,6 +81,17 @@ fn tenant_slices_carry_full_telemetry() {
     let writes: u64 = report.tenants.iter().map(|t| t.writes_completed).sum();
     assert_eq!(reads, report.reads_completed);
     assert_eq!(writes, report.writes_completed);
+    // End-to-end latency is device latency plus queueing delay, request by
+    // request, so the sums over all tenants split the same way.
+    let sum = |r: &LatencyRecorder| r.mean() * r.len() as f64;
+    let end_to_end: f64 = report.tenants.iter().map(|t| sum(&t.latency)).sum();
+    let queued: f64 = report.tenants.iter().map(|t| sum(&t.queue_delay)).sum();
+    let device = sum(&report.read_latency) + sum(&report.write_latency);
+    assert!(queued > 0.0, "the contended run queues requests");
+    assert!(
+        (end_to_end - (device + queued)).abs() <= 1e-9 * end_to_end,
+        "end-to-end {end_to_end} vs device {device} + queued {queued}"
+    );
 }
 
 #[test]
